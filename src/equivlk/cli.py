@@ -60,7 +60,8 @@ class Checks:
         try:
             verdict, witness = fn()
         except Exception as exc:  # a crashed check is a failed check
-            verdict, witness = "fail", {"error": str(exc)}
+            verdict, witness = "fail", {"error": str(exc),
+                                        "type": type(exc).__name__}
         ms = int((time.perf_counter() - t0) * 1000)
         self.add(check_id, inputs, verdict, witness, ms)
 
@@ -405,12 +406,13 @@ def run_lvalue(config, seed, bits):
     for chi in _primitive_grid(f_max):
         for s in s_list:
             def check(chi=chi, s=s):
-                ex = embed_complex(lseries.l_value_exact(chi, 1 - s), bits + 32)
+                exact = lseries.l_value_exact(chi, 1 - s)
+                ex = embed_complex(exact, bits + 32)
                 tv = lseries.l_value_via_fe(chi, 1 - s, bits)
                 err = abs(ex - tv)
                 ok = err < tol
                 return ("pass" if ok else "fail"), {
-                    "exact": lseries.l_value_exact(chi, 1 - s).to_json(),
+                    "exact": exact.to_json(),
                     "transported": _num(tv),
                     "abs_error_log2": _log2_str(err)}
 

@@ -2,7 +2,9 @@
 
 A character mod f is stored by its exponents on a fixed generating set of
 (Z/f)^*.  Moduli stay small (f <= 1000), so discrete logs are brute-force
-tables.  Values are CycloNumber roots of unity, zero off the units.
+tables.  Values are CycloNumber roots of unity, zero off the units: chi(a) =
+zeta_L^k(a) with L the exponent of (Z/f)^*, each root of unity built once
+per process.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, _divisors
 
 MAX_MODULUS = 1000
 
@@ -112,7 +114,7 @@ def unit_group_structure(f: int):
 class DirichletChar:
     """chi mod f with chi(gens[i]) = zeta_{orders[i]}^{exps[i]}."""
 
-    __slots__ = ("modulus", "exps", "_values", "_conductor")
+    __slots__ = ("modulus", "exps", "_root_exps", "_values", "_conductor")
 
     def __init__(self, modulus: int, exps):
         gens, orders, _ = unit_group_structure(modulus)
@@ -121,6 +123,7 @@ class DirichletChar:
             raise ValueError("wrong number of exponents")
         self.modulus = modulus
         self.exps = exps
+        self._root_exps = None
         self._values = None
         self._conductor = None
 
@@ -129,20 +132,26 @@ class DirichletChar:
         gens, orders, _ = unit_group_structure(modulus)
         return DirichletChar(modulus, (0,) * len(gens))
 
+    def root_exponents(self):
+        """(L, ks): chi(a) = zeta_L^ks[a % f] on the units and ks[a % f] is
+        None off them, where L is the exponent of (Z/f)^*."""
+        if self._root_exps is None:
+            f = self.modulus
+            _, orders, dlog = unit_group_structure(f)
+            L = math.lcm(*orders)
+            ks = [None] * f
+            for a, exps in dlog.items():
+                ks[a % f] = sum(k * e * (L // d) for k, e, d
+                                in zip(self.exps, exps, orders)) % L
+            self._root_exps = (L, tuple(ks))
+        return self._root_exps
+
     def _value_table(self):
         if self._values is None:
-            f = self.modulus
-            gens, orders, dlog = unit_group_structure(f)
-            vals = [CycloNumber.zero()] * f
-            if f == 1:
-                vals = [CycloNumber.one()]
-            for a, exps in dlog.items():
-                acc = CycloNumber.one()
-                for k, e, d in zip(self.exps, exps, orders):
-                    if k * e % d:
-                        acc = acc * CycloNumber.zeta(d, k * e % d)
-                vals[a % f] = acc
-            self._values = tuple(vals)
+            L, ks = self.root_exponents()
+            zero = CycloNumber.zero()
+            self._values = tuple(zero if k is None else _root_of_unity(L, k)
+                                 for k in ks)
         return self._values
 
     def value(self, a: int) -> CycloNumber:
@@ -174,7 +183,7 @@ class DirichletChar:
             f = self.modulus
             one = CycloNumber.one()
             best = f
-            for d in sorted(_divisors(f)):
+            for d in _divisors(f):
                 if all(self.value(a) == one
                        for a in range(1, f + 1)
                        if a % d == 1 % d and math.gcd(a, f) == 1):
@@ -234,12 +243,10 @@ class DirichletChar:
         return self.label()
 
 
-def _divisors(n: int):
-    out = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            out.append(d)
-    return out
+@lru_cache(maxsize=None)
+def _root_of_unity(n: int, k: int) -> CycloNumber:
+    """zeta_n^k, normalized once per process and shared by every table."""
+    return CycloNumber.zeta(n, k)
 
 
 def enumerate_characters(modulus: int) -> list[DirichletChar]:

@@ -2,9 +2,11 @@
 equation.
 
 Exact route: L(1-r, chi) = -B_{r,chi}/r through generalized Bernoulli
-numbers, a cyclotomic number in Q(chi).  Numeric route: Hurwitz zeta at a
-stated bit precision.  S-truncated values multiply in the Euler factors of
-the primes in S away from the modulus.
+numbers, a cyclotomic number in Q(chi).  With chi(a) = zeta_L^k(a), the
+rational terms are summed per exponent k and the Euler factors act on that
+vector, so each exact value is reduced to its minimal conductor once.
+Numeric route: Hurwitz zeta at a stated bit precision.  S-truncated values
+multiply in the Euler factors of the primes in S away from the modulus.
 
 Completed L-function convention: Lambda(s, chi) = L_R(s + delta) L(s, chi)
 with L_R(s) = pi^(-s/2) Gamma(s/2) and delta = 0, 1 for even, odd chi.
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, _power_table, euler_phi
 from .dirichlet import DirichletChar
 from .numeric import DEFAULT_BITS, detect_rational, embed_complex
 
@@ -71,40 +73,60 @@ def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
                 for k in range(n + 1)), Fraction(0))
 
 
-def gen_bernoulli(chi: DirichletChar, r: int) -> CycloNumber:
-    """B_{r,chi} = f^(r-1) sum_{a=1}^{f} chi(a) B_r(a/f)."""
+def _bernoulli_vector(chi: DirichletChar, r: int):
+    """(L, v) with B_{r,chi} = sum_k v[k] zeta_L^k: the terms
+    f^(r-1) B_r(a/f) summed by the exponent k(a) of chi(a) = zeta_L^k(a)."""
     if r < 1:
         raise ValueError("r must be >= 1")
     f = chi.modulus
-    acc = CycloNumber.zero()
+    L, ks = chi.root_exponents()
+    v = [Fraction(0)] * L
     for a in range(1, f + 1):
-        c = chi.value(a)
-        if not c.is_zero:
-            acc = acc + c * bernoulli_polynomial(r, Fraction(a, f))
-    return acc * Fraction(f ** (r - 1))
+        k = ks[a % f]
+        if k is not None:
+            v[k] += bernoulli_polynomial(r, Fraction(a, f))
+    scale = f ** (r - 1)
+    return L, [scale * x for x in v]
 
 
-def _truncation_exact(chi: DirichletChar, r: int, S) -> CycloNumber:
-    """prod_{v in S, v prime to f} (1 - chi(v) v^(r-1)) at s = 1 - r."""
-    acc = CycloNumber.one()
-    for v in sorted(set(S)):
-        if chi.modulus % v == 0:
-            continue  # Euler factor already missing
-        acc = acc * (CycloNumber.one() - chi.value(v) * Fraction(v ** (r - 1)))
-    return acc
+def _from_root_vector(L: int, v) -> CycloNumber:
+    """sum_k v[k] zeta_L^k as one normalized CycloNumber."""
+    coeffs = [Fraction(0)] * euler_phi(L)
+    for x, row in zip(v, _power_table(L)):
+        if x:
+            for j, rj in enumerate(row):
+                if rj:
+                    coeffs[j] += x * rj
+    return CycloNumber(L, coeffs)
+
+
+def gen_bernoulli(chi: DirichletChar, r: int) -> CycloNumber:
+    """B_{r,chi} = f^(r-1) sum_{a=1}^{f} chi(a) B_r(a/f)."""
+    return _from_root_vector(*_bernoulli_vector(chi, r))
 
 
 def l_value_exact(chi: DirichletChar, s: int, S=()) -> CycloNumber:
     """L_S(s, chi) at an integer s <= 0, s = 1 - r.
 
     An imprimitive chi gives the series with the Euler factors at primes
-    dividing the modulus removed, as usual.
+    dividing the modulus removed, as usual.  Each v in S prime to the
+    modulus contributes (1 - chi(v) v^(r-1)).
     """
     if s > 0:
         raise ValueError("exact values only at s <= 0")
     r = 1 - s
-    value = -gen_bernoulli(chi, r) * Fraction(1, r)
-    return value * _truncation_exact(chi, r, S)
+    f = chi.modulus
+    L, v = _bernoulli_vector(chi, r)
+    v = [-x / r for x in v]
+    _, ks = chi.root_exponents()
+    for p in sorted(set(S)):
+        k = ks[p % f]
+        if f % p == 0 or k is None:
+            continue  # Euler factor already missing, or chi(p) = 0
+        # times (1 - p^(r-1) zeta_L^k) in Q[x]/(x^L - 1)
+        c = p ** (r - 1)
+        v = [x - c * v[(j - k) % L] for j, x in enumerate(v)]
+    return _from_root_vector(L, v)
 
 
 def l_value_numeric(chi: DirichletChar, s, bits: int = DEFAULT_BITS, S=()):

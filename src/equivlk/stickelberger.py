@@ -3,7 +3,9 @@ integrality after smoothing, and K-groups of finite fields as Galois
 modules.
 
 theta_S(1-r) = sum_chi L_S(1-r, chi-bar) e_chi lives in Q[G] for
-G = (Z/f)^*; its coefficients are rational.  The smoothed elements
+G = (Z/f)^*; its coefficients are rational and come from the classical
+closed form in Bernoulli polynomials (Washington, Introduction to
+Cyclotomic Fields, ch. 6).  The smoothed elements
 (c^r - sigma_c) theta_S(1-r) are integral for any c prime to 2 f w_r and
 to the primes in S, where w_r is the higher root-of-unity order of
 Q(zeta_f).
@@ -14,9 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclo import CycloNumber
-from .dirichlet import enumerate_characters
-from .lseries import l_value_exact
+from .dirichlet import MAX_MODULUS, _factorize
+from .lseries import bernoulli_polynomial
 from .snf import smith_normal_form
 
 __all__ = [
@@ -40,21 +41,26 @@ def _units(f: int):
 def stickelberger_element(f: int, r: int, S=()):
     """theta_S(1-r) as {a: Fraction} over units a mod f.
 
-    The chi-component (sum_a c_a chi(a)) equals L_S(1-r, chi-bar).
+    c_a = -(f^(r-1)/r) B_r(a'/f) with a' = a^-1 mod f in 1..f, and each
+    v in S prime to f multiplies theta by (1 - v^(r-1) sigma_v^-1), that is
+    c_a -> c_a - v^(r-1) c_{av}.
+
+    Invariant: for every chi mod f the chi-component sum_a c_a chi(a)
+    equals L_S(1-r, chi-bar).
     """
-    units = _units(f)
-    chars = enumerate_characters(f)
-    phi = len(chars)
-    coeffs = {}
-    for a in units:
-        acc = CycloNumber.zero()
-        for chi in chars:
-            acc = acc + l_value_exact(chi, 1 - r, S) * chi.value(a)
-        acc = acc * Fraction(1, phi)
-        if not acc.is_rational:
-            raise RuntimeError("Stickelberger coefficient is not rational")
-        coeffs[a] = acc.to_fraction()
-    return coeffs
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if not 1 <= f <= MAX_MODULUS:
+        raise ValueError(f"modulus {f} outside 1..{MAX_MODULUS}")
+    scale = Fraction(-(f ** (r - 1)), r)
+    theta = {a: scale * bernoulli_polynomial(r, Fraction(pow(a, -1, f) or f, f))
+             for a in _units(f)}
+    for v in sorted(set(S)):
+        if f % v == 0 or math.gcd(v, f) != 1:
+            continue  # Euler factor already missing, or sigma_v undefined
+        c = v ** (r - 1)
+        theta = {a: x - c * theta[a * v % f or f] for a, x in theta.items()}
+    return theta
 
 
 def sigma_action(theta, c: int, f: int):
@@ -76,7 +82,7 @@ def higher_w(f: int, r: int) -> int:
     of exponent dividing r."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    candidates = {2} | {q for q in range(2, r + 2) if _is_prime(q)} \
+    candidates = {2} | {q for q in range(2, r + 2) if _factorize(q) == [(q, 1)]} \
         | {q for q, _ in _factorize(f)}
     w = 1
     for q in sorted(candidates):
@@ -141,26 +147,6 @@ def fractional_ideal_skeleton(f: int, r: int, S=()):
         classes[key] = classes.get(key, Fraction(0)) + v
     return {"partial": True, "modulus": f, "r": r, "s_primes": sorted(set(S)),
             "classes": {str(k): v for k, v in sorted(classes.items())}}
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
-
-
-def _factorize(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

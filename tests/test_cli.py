@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from equivlk.cli import SUBCOMMANDS, main, make_report
+from equivlk.cli import SUBCOMMANDS, Checks, main, make_report
 
 
 def run_report(subcommand, config, seed=0, bits=128):
@@ -102,3 +102,14 @@ def test_failed_check_carries_witness():
     rep = run_report("denominator-probe", cfg)
     fail = [r for r in rep["checks"] if r["verdict"] == "fail"]
     assert len(fail) == 1 and "witness" in fail[0]
+
+
+def test_raising_check_records_exception_type():
+    def boom():
+        raise ValueError("no such case")
+
+    checks = Checks()
+    checks.timed("demo/raises", {}, boom)
+    rec = checks.records[0]
+    assert rec["verdict"] == "fail"
+    assert rec["witness"] == {"error": "no such case", "type": "ValueError"}

@@ -73,3 +73,24 @@ def test_parity():
 def test_modulus_bound():
     with pytest.raises(ValueError):
         DirichletChar(1002, ())
+
+
+def test_value_tables_match_zeta_products():
+    # oracle: chi(a) = prod_i zeta_{d_i}^(k_i e_i), e = dlog(a), multiplied
+    # out factor by factor; memoized on the residues, which repeat across
+    # the characters of one modulus
+    for f in range(1, 101):
+        gens, orders, dlog = unit_group_structure(f)
+        products = {}
+        for chi in enumerate_characters(f):
+            expect = [CycloNumber.zero()] * f
+            for a, exps in dlog.items():
+                key = tuple(k * e % d for k, e, d in zip(chi.exps, exps, orders))
+                if key not in products:
+                    acc = CycloNumber.one()
+                    for m, d in zip(key, orders):
+                        if m:
+                            acc = acc * zeta(d, m)
+                    products[key] = acc
+                expect[a % f] = products[key]
+            assert [chi.value(a) for a in range(f)] == expect, chi

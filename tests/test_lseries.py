@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from equivlk.cyclo import CycloNumber
 from equivlk.dirichlet import DirichletChar, enumerate_characters
 from equivlk.lseries import (archimedean_leading, bernoulli_number,
                              bernoulli_polynomial, completed_lambda,
@@ -124,3 +125,28 @@ def test_gross_equivariance():
     for f in [5, 7, 12, 16]:
         assert gross_equivariance_check(f, 2) == []
         assert gross_equivariance_check(f, 3, S=(2, 3)) == []
+
+
+def gen_bernoulli_by_terms(chi, r):
+    """Oracle: f^(r-1) sum_a chi(a) B_r(a/f), one CycloNumber term at a time."""
+    f = chi.modulus
+    acc = CycloNumber.zero()
+    for a in range(1, f + 1):
+        c = chi.value(a)
+        if not c.is_zero:
+            acc = acc + c * bernoulli_polynomial(r, Fraction(a, f))
+    return acc * Fraction(f ** (r - 1))
+
+
+def test_one_pass_values_match_term_loop():
+    S = (2, 31)
+    for f in range(1, 25):
+        for chi in enumerate_characters(f):
+            for r in range(1, 6):
+                b = gen_bernoulli_by_terms(chi, r)
+                assert gen_bernoulli(chi, r) == b, (chi, r)
+                euler = CycloNumber.one()
+                for v in S:
+                    if f % v:
+                        euler = euler * (1 - chi.value(v) * Fraction(v ** (r - 1)))
+                assert l_value_exact(chi, 1 - r, S) == -b * Fraction(1, r) * euler, (chi, r)

@@ -1,7 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from equivlk.cyclo import CycloNumber
+from equivlk.dirichlet import enumerate_characters
+from equivlk.lseries import l_value_exact
 from equivlk.stickelberger import (easy_annihilators, fractional_ideal_skeleton,
                                    higher_w, integrality_check,
                                    kgroup_annihilates, kgroup_finite_field,
@@ -13,6 +17,36 @@ def test_theta_f3_classical():
     # theta_{S}(0) for f = 3, S = {3}: (1/6)(sigma_1 - sigma_2)
     th = stickelberger_element(3, 1, S=(3,))
     assert th == {1: Fraction(1, 6), 2: Fraction(-1, 6)}
+
+
+def theta_by_character_sums(f, r, S=()):
+    """Oracle: c_a = (1/phi) sum_chi L_S(1-r, chi) chi(a), summed in Q(zeta)."""
+    chars = enumerate_characters(f)
+    values = [l_value_exact(chi, 1 - r, S) for chi in chars]
+    theta = {}
+    for a in [a for a in range(1, f + 1) if math.gcd(a, f) == 1]:
+        acc = CycloNumber.zero()
+        for chi, value in zip(chars, values):
+            acc = acc + value * chi.value(a)
+        acc = acc * Fraction(1, len(chars))
+        if not acc.is_rational:
+            raise RuntimeError("Stickelberger coefficient is not rational")
+        theta[a] = acc.to_fraction()
+    return theta
+
+
+def test_closed_form_matches_character_sums():
+    for f in range(1, 17):
+        for r in [1, 2, 3]:
+            for S in [(), (2,), (3, 5), (31, 41)]:
+                assert stickelberger_element(f, r, S) == \
+                    theta_by_character_sums(f, r, S), (f, r, S)
+
+
+def test_theta_rejects_out_of_range_input():
+    for f, r in [(0, 2), (1001, 2), (5, 0)]:
+        with pytest.raises(ValueError):
+            stickelberger_element(f, r)
 
 
 def test_theta_rationality_grid():
