@@ -264,14 +264,24 @@ def run_annihilate_check(config, seed, bits):
     prec = config.get("prec", 9)
     b_max = config.get("b_max", 2)
     rng = random.Random(seed)
-    groups = [(name, _group_of(name), p) for name, p in cases]
+    # a bad case becomes a failed record before sampling starts; only the
+    # good cases are sampled
+    groups = []
+    for name, p in cases:
+        try:
+            G = _group_of(name)
+            if not fitting.denominator_trivial(G, p):
+                raise ValueError(f"case ({name}, {p}) has p | |G'|")
+        except Exception as exc:
+            checks.add(f"annihilate/case-{name}-p{p}", {"group": name, "p": p},
+                       "fail", {"error": str(exc), "type": type(exc).__name__})
+            continue
+        groups.append((name, G, p))
     accepted = 0
     attempts = 0
-    while accepted < trials and attempts < 20 * trials:
+    while groups and accepted < trials and attempts < 20 * trials:
         attempts += 1
         label, G, p = groups[rng.randrange(len(groups))]
-        if not fitting.denominator_trivial(G, p):
-            raise ValueError(f"case ({label}, {p}) has p | |G'|")
         b = rng.randint(1, b_max)
         data = _rand_matrix_data(rng, b, b, G.order)
         pres = Presentation.from_integer_data(G, data)
@@ -294,7 +304,7 @@ def run_annihilate_check(config, seed, bits):
 
         checks.timed(f"annihilate/trial-{i:03d}-{label}-p{p}-b{b}",
                      {"group": label, "p": p, "b": b, "trial": i}, check)
-    if accepted < trials:
+    if groups and accepted < trials:
         checks.add("annihilate/sampling", {"accepted": accepted, "wanted": trials},
                    "fail", {"error": "not enough finite small cokernels found"})
     return checks
@@ -450,7 +460,6 @@ def run_pi_ratio(config, seed, bits):
     checks = Checks()
     r_list = config.get("r", [2, 3])
     n_max = config.get("n_max", 2)
-    prec = config.get("bits", 96)
     max_den = config.get("max_den", 10 ** 4)
     combos = []
     for n in range(1, n_max + 1):
@@ -463,7 +472,7 @@ def run_pi_ratio(config, seed, bits):
         for place, np_, nm in combos:
             def check(r=r, place=place, np_=np_, nm=nm):
                 k, rat = lseries.pi_power_ratio_check(place, r, np_, nm,
-                                                      bits=prec, max_den=max_den)
+                                                      bits=bits, max_den=max_den)
                 ok = rat is not None
                 witness = {"pi_exponent": k,
                            "rational": _frac(rat) if rat is not None else None}
@@ -471,7 +480,7 @@ def run_pi_ratio(config, seed, bits):
 
             checks.timed(f"pi-ratio/r{r}-{place}-np{np_}-nm{nm}",
                          {"r": r, "place": place, "n_plus": np_, "n_minus": nm,
-                          "bits": prec}, check)
+                          "bits": bits}, check)
     return checks
 
 

@@ -153,9 +153,17 @@ class CycloNumber:
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycloNumber":
-        k %= n
-        table = _power_table(n)
-        return CycloNumber(n, table[k])
+        """zeta_n^k in closed normal form: it is the primitive root
+        zeta_m^j, m = n/gcd(n, k), of conductor m, or for m = 2 mod 4 the
+        root -zeta_{m/2}^((j + m/2)/2) of conductor m/2."""
+        g = math.gcd(n, k)
+        m, j = n // g, (k // g) % (n // g)
+        sign = 1
+        if m % 4 == 2:
+            m, j, sign = m // 2, (j + m // 2) // 2 % (m // 2), -1
+        row = _power_table(m)[j]
+        return CycloNumber(m, row if sign == 1 else [-c for c in row],
+                           normalize=False)
 
     @staticmethod
     def zero() -> "CycloNumber":
@@ -381,16 +389,20 @@ def _reduce_conductor(n: int, coeffs: tuple[Fraction, ...]):
             p += 1
         if m > 1:
             primes.append(m)
+        support = [(i, c) for i, c in enumerate(coeffs) if c]
         for p in primes:
             d = n // p
             T, pivots, rank = _descent_solver(n, d)
-            tv = [sum(T[r][i] * coeffs[i] for i in range(len(coeffs)) if coeffs[i])
-                  for r in range(len(coeffs))]
-            if any(tv[r] for r in range(rank, len(coeffs))):
+
+            def row_of_tv(r):
+                return sum(T[r][i] * c for i, c in support)
+
+            # the element descends iff the non-pivot rows of T v vanish
+            if any(row_of_tv(r) for r in range(rank, len(coeffs))):
                 continue
             new = [Fraction(0)] * euler_phi(d)
             for row, col in pivots:
-                new[col] = tv[row]
+                new[col] = row_of_tv(row)
             n, coeffs = d, tuple(new)
             changed = True
             break

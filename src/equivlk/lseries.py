@@ -5,8 +5,10 @@ Exact route: L(1-r, chi) = -B_{r,chi}/r through generalized Bernoulli
 numbers, a cyclotomic number in Q(chi).  With chi(a) = zeta_L^k(a), the
 rational terms are summed per exponent k and the Euler factors act on that
 vector, so each exact value is reduced to its minimal conductor once.
-Numeric route: Hurwitz zeta at a stated bit precision.  S-truncated values
-multiply in the Euler factors of the primes in S away from the modulus.
+Numeric route: Hurwitz zeta at a stated bit precision, the vector
+(zeta(s, a/f))_{a=1..f} evaluated once per modulus, point and precision and
+shared by every character mod f.  S-truncated values multiply in the Euler
+factors of the primes in S away from the modulus.
 
 Completed L-function convention: Lambda(s, chi) = L_R(s + delta) L(s, chi)
 with L_R(s) = pi^(-s/2) Gamma(s/2) and delta = 0, 1 for even, odd chi.
@@ -16,7 +18,9 @@ For primitive chi of conductor f this satisfies
 
 with root number W(chi) = tau(chi) / (i^delta sqrt(f)).  At integer points
 where the Gamma factor has a pole the L-function has a matching trivial
-zero, and Lambda means the finite limit (pole residue times L').
+zero, and Lambda means the finite limit (pole residue times L'), with L'
+from mpmath's analytic Hurwitz-zeta derivative.  The Gauss sum tau(chi) is
+exact, reduced to its minimal conductor once.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .numeric import DEFAULT_BITS, detect_rational, embed_complex
 __all__ = [
     "bernoulli_number",
     "bernoulli_polynomial",
+    "bernoulli_row",
     "gen_bernoulli",
     "l_value_exact",
     "l_value_numeric",
@@ -73,20 +78,37 @@ def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
                 for k in range(n + 1)), Fraction(0))
 
 
+@lru_cache(maxsize=None)
+def bernoulli_row(f: int, r: int) -> tuple[Fraction, ...]:
+    """(f^(r-1) B_r(a/f))_{a=1..f}, shared by every character mod f.
+
+    f^(r-1) B_r(a/f) = sum_k C(r, k) B_k f^(k-1) a^(r-k), evaluated as an
+    integer polynomial in a over one common denominator."""
+    coeffs = [math.comb(r, k) * bernoulli_number(k) * Fraction(f) ** (k - 1)
+              for k in range(r + 1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    row = []
+    for a in range(1, f + 1):
+        acc = 0
+        for c in ints:  # Horner, highest power of a first
+            acc = acc * a + c
+        row.append(Fraction(acc, den))
+    return tuple(row)
+
+
 def _bernoulli_vector(chi: DirichletChar, r: int):
     """(L, v) with B_{r,chi} = sum_k v[k] zeta_L^k: the terms
     f^(r-1) B_r(a/f) summed by the exponent k(a) of chi(a) = zeta_L^k(a)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    f = chi.modulus
     L, ks = chi.root_exponents()
     v = [Fraction(0)] * L
-    for a in range(1, f + 1):
-        k = ks[a % f]
+    for a, b in enumerate(bernoulli_row(chi.modulus, r), 1):
+        k = ks[a % chi.modulus]
         if k is not None:
-            v[k] += bernoulli_polynomial(r, Fraction(a, f))
-    scale = f ** (r - 1)
-    return L, [scale * x for x in v]
+            v[k] += b
+    return L, v
 
 
 def _from_root_vector(L: int, v) -> CycloNumber:
@@ -129,37 +151,72 @@ def l_value_exact(chi: DirichletChar, s: int, S=()) -> CycloNumber:
     return _from_root_vector(L, v)
 
 
+# typed: an mpf and an mpc of equal value stay separate keys, since mpmath
+# may evaluate them by different routes
+@lru_cache(maxsize=256, typed=True)
+def _hurwitz_vector(f: int, s, wp: int, d: int) -> tuple:
+    """(zeta^(d)(s, a/f))_{a=1..f} at working precision wp: one vector per
+    modulus, shared by every character mod f."""
+    with mp.workprec(wp):
+        return tuple(mp.zeta(s, mp.mpf(a) / f, d) for a in range(1, f + 1))
+
+
+def _character_sum(chi: DirichletChar, s, wp: int, d: int = 0):
+    """sum_a chi(a) zeta^(d)(s, a/f) at working precision wp."""
+    with mp.workprec(wp):
+        total = mp.mpc(0)
+        for a, z in enumerate(_hurwitz_vector(chi.modulus, s, wp, d), 1):
+            c = chi.value(a)
+            if not c.is_zero:
+                total += embed_complex(c, wp) * z
+        return total
+
+
 def l_value_numeric(chi: DirichletChar, s, bits: int = DEFAULT_BITS, S=()):
     """L_S(s, chi) = f^(-s) sum_a chi(a) zeta(s, a/f), times S-factors."""
     f = chi.modulus
-    with mp.workprec(bits + 24):
+    wp = bits + 24
+    with mp.workprec(wp):
         s = mp.mpmathify(s)
         if f == 1:
             total = mp.zeta(s)
         else:
-            total = mp.mpc(0)
-            for a in range(1, f + 1):
-                c = chi.value(a)
-                if not c.is_zero:
-                    total += embed_complex(c, bits + 24) * mp.zeta(s, mp.mpf(a) / f)
-            total *= mp.power(f, -s)
+            total = _character_sum(chi, s, wp) * mp.power(f, -s)
         for v in sorted(set(S)):
             if f % v == 0:
                 continue
-            total *= 1 - embed_complex(chi.value(v), bits + 24) * mp.power(v, -s)
+            total *= 1 - embed_complex(chi.value(v), wp) * mp.power(v, -s)
         with mp.workprec(bits):
             return +total
 
 
-def gauss_sum(chi: DirichletChar) -> CycloNumber:
-    """tau(chi) = sum_a chi(a) zeta_f^a, exact in Q(zeta_{ef})."""
+def _l_derivative(chi: DirichletChar, s0: int, bits: int):
+    """L'(s0, chi) = -log f L(s0, chi) + f^(-s0) sum_a chi(a) zeta'(s0, a/f),
+    at working precision bits + 24 and returned unrounded."""
     f = chi.modulus
-    acc = CycloNumber.zero()
+    wp = bits + 24
+    with mp.workprec(wp):
+        s = mp.mpf(s0)
+        scale = mp.power(f, -s)
+        value = scale * _character_sum(chi, s, wp)
+        return scale * _character_sum(chi, s, wp, 1) - mp.log(f) * value
+
+
+def gauss_sum(chi: DirichletChar) -> CycloNumber:
+    """tau(chi) = sum_a chi(a) zeta_f^a, exact in Q(zeta_{ef}).
+
+    With chi(a) = zeta_L^k(a) every term is the root of unity
+    zeta_M^(k(a) M/L + a M/f), M = lcm(L, f); the terms are counted per
+    exponent and the sum is reduced to its minimal conductor once."""
+    f = chi.modulus
+    L, ks = chi.root_exponents()
+    M = math.lcm(L, f)
+    v = [0] * M
     for a in range(1, f + 1):
-        c = chi.value(a)
-        if not c.is_zero:
-            acc = acc + c * CycloNumber.zeta(f, a)
-    return acc
+        k = ks[a % f]
+        if k is not None:
+            v[(k * (M // L) + a * (M // f)) % M] += 1
+    return _from_root_vector(M, v)
 
 
 def root_number(chi: DirichletChar, bits: int = DEFAULT_BITS):
@@ -216,8 +273,8 @@ def completed_lambda(chi: DirichletChar, s0: int, bits: int = DEFAULT_BITS):
     """Finite value of Lambda(s, chi) at an integer s0 (primitive chi).
 
     Where the Gamma factor has a simple pole the L-function has a simple
-    trivial zero; the value is then (pole leading coeff) * L'(s0), with the
-    derivative taken numerically.
+    trivial zero; the value is then (pole leading coeff) * L'(s0), with L'
+    from the analytic Hurwitz-zeta derivative.
     """
     order, lead = archimedean_leading(chi, s0, bits)
     with mp.workprec(bits + 16):
@@ -227,14 +284,7 @@ def completed_lambda(chi: DirichletChar, s0: int, bits: int = DEFAULT_BITS):
             if chi.modulus == 1 and s0 == 0:
                 # zeta has no trivial zero at 0: Lambda really has a pole
                 raise ValueError("Lambda(0) diverges for the trivial character")
-            # central difference at tripled precision: truncation and
-            # roundoff are both ~2^(-2*bits), far below the target accuracy
-            wp = 3 * bits
-            with mp.workprec(wp):
-                h = mp.mpf(2) ** (-bits)
-                deriv = (l_value_numeric(chi, mp.mpf(s0) + h, wp)
-                         - l_value_numeric(chi, mp.mpf(s0) - h, wp)) / (2 * h)
-            val = lead * deriv
+            val = lead * _l_derivative(chi, s0, bits)
         else:
             raise RuntimeError("unexpected pole order")
         with mp.workprec(bits):

@@ -14,12 +14,7 @@ from .cyclo import CycloNumber
 
 DEFAULT_BITS = 128
 
-__all__ = ["DEFAULT_BITS", "embed_complex", "to_mpf", "workbits", "detect_rational"]
-
-
-def workbits(bits: int):
-    """Context manager setting the mpmath working precision in bits."""
-    return mp.workprec(bits)
+__all__ = ["DEFAULT_BITS", "embed_complex", "to_mpf", "detect_rational"]
 
 
 def to_mpf(q, bits: int):

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .dirichlet import MAX_MODULUS, _factorize
-from .lseries import bernoulli_polynomial
+from .lseries import bernoulli_row
 from .snf import smith_normal_form
 
 __all__ = [
@@ -52,9 +52,8 @@ def stickelberger_element(f: int, r: int, S=()):
         raise ValueError("r must be >= 1")
     if not 1 <= f <= MAX_MODULUS:
         raise ValueError(f"modulus {f} outside 1..{MAX_MODULUS}")
-    scale = Fraction(-(f ** (r - 1)), r)
-    theta = {a: scale * bernoulli_polynomial(r, Fraction(pow(a, -1, f) or f, f))
-             for a in _units(f)}
+    row = bernoulli_row(f, r)
+    theta = {a: -row[(pow(a, -1, f) or f) - 1] / r for a in _units(f)}
     for v in sorted(set(S)):
         if f % v == 0 or math.gcd(v, f) != 1:
             continue  # Euler factor already missing, or sigma_v undefined

@@ -106,7 +106,7 @@ def test_criterion_07_pi_power_ratios():
     # r in {2,3}, all (place, n+, n-) with n+ + n- <= 2: ratio over the
     # predicted pi power is rational, denominator <= 10^4, at 96 bits
     rep = run("pi-ratio", {"r": [2, 3], "n_max": 2, "bits": 96,
-                           "max_den": 10 ** 4})
+                           "max_den": 10 ** 4}, bits=96)
     ok = rep["summary"]["fail"] == 0
     report_line(7, "pi-power-ratios", ok,
                 f"{rep['summary']['pass']}/{rep['summary']['total']} rational")

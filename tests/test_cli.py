@@ -88,6 +88,39 @@ def test_main_exit_codes(tmp_path, capsys):
     assert report["summary"]["fail"] == 0
 
 
+def test_pi_ratio_runs_at_cli_bits(tmp_path, monkeypatch):
+    from equivlk import lseries
+
+    used = []
+    check = lseries.pi_power_ratio_check
+
+    def spy(*args, bits, **kwargs):
+        used.append(bits)
+        return check(*args, bits=bits, **kwargs)
+
+    monkeypatch.setattr(lseries, "pi_power_ratio_check", spy)
+    out = tmp_path / "report.json"
+    assert main(["pi-ratio", "--bits", "80", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["bits"] == 80
+    assert {r["inputs"]["bits"] for r in report["checks"]} == {80}
+    assert used and set(used) == {80}
+
+
+def test_annihilate_bad_case_is_a_failed_record(tmp_path):
+    # p = 3 divides |S3'| = 3: that case fails, the good case still runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cases": [["S3", 3], ["S3", 5]], "trials": 3,
+                               "b_max": 1}))
+    out = tmp_path / "report.json"
+    assert main(["annihilate-check", "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    fail = [r for r in report["checks"] if r["verdict"] == "fail"]
+    assert [r["id"] for r in fail] == ["annihilate/case-S3-p3"]
+    assert fail[0]["witness"]["type"] == "ValueError"
+    assert report["summary"] == {"total": 4, "pass": 3, "fail": 1, "info": 0}
+
+
 def test_main_table_rendering(capsys):
     code = main(["pi-ratio", "--table"])
     assert code == 0

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivlk.cyclo import CycloNumber, cyclotomic_poly, euler_phi, zeta
+from equivlk.cyclo import (CycloNumber, _power_table, cyclotomic_poly,
+                          euler_phi, zeta)
 
 
 def test_euler_phi():
@@ -40,6 +41,14 @@ def test_inverse():
     assert x * x.inverse() == CycloNumber.one()
     with pytest.raises(ZeroDivisionError):
         CycloNumber.zero().inverse()
+
+
+def test_zeta_closed_form_matches_generic_normalization():
+    for n in range(1, 121):
+        for k in range(n):
+            z = CycloNumber.zeta(n, k)
+            generic = CycloNumber(n, _power_table(n)[k])
+            assert (z.n, z.coeffs) == (generic.n, generic.coeffs), (n, k)
 
 
 def test_galois_and_conjugate():

@@ -5,9 +5,11 @@ import pytest
 
 from equivlk.cyclo import CycloNumber
 from equivlk.dirichlet import DirichletChar, enumerate_characters
-from equivlk.lseries import (archimedean_leading, bernoulli_number,
-                             bernoulli_polynomial, completed_lambda,
-                             fe_residual, gauss_sum, gen_bernoulli,
+from equivlk.lseries import (_character_sum, _hurwitz_vector,
+                             _l_derivative, archimedean_leading,
+                             bernoulli_number, bernoulli_polynomial,
+                             bernoulli_row, completed_lambda, fe_residual,
+                             gauss_sum, gen_bernoulli,
                              gross_equivariance_check, l_value_exact,
                              l_value_numeric, l_value_via_fe,
                              pi_power_prediction, pi_power_ratio_check,
@@ -31,6 +33,14 @@ def test_bernoulli_polynomial():
     # B_3(x) = x^3 - 3x^2/2 + x/2
     assert bernoulli_polynomial(3, Fraction(1, 4)) == Fraction(3, 64)
     assert bernoulli_polynomial(3, Fraction(3, 4)) == Fraction(-3, 64)
+
+
+def test_bernoulli_row_matches_polynomial():
+    for f in range(1, 41):
+        for r in range(1, 9):
+            assert bernoulli_row(f, r) == tuple(
+                f ** (r - 1) * bernoulli_polynomial(r, Fraction(a, f))
+                for a in range(1, f + 1)), (f, r)
 
 
 def test_gen_bernoulli_chi4():
@@ -150,3 +160,107 @@ def test_one_pass_values_match_term_loop():
                     if f % v:
                         euler = euler * (1 - chi.value(v) * Fraction(v ** (r - 1)))
                 assert l_value_exact(chi, 1 - r, S) == -b * Fraction(1, r) * euler, (chi, r)
+
+
+def gauss_sum_by_terms(chi):
+    """Oracle: tau(chi) = sum_a chi(a) zeta_f^a, one CycloNumber term at a time."""
+    f = chi.modulus
+    acc = CycloNumber.zero()
+    for a in range(1, f + 1):
+        c = chi.value(a)
+        if not c.is_zero:
+            acc = acc + c * CycloNumber.zeta(f, a)
+    return acc
+
+
+def test_gauss_sum_matches_term_loop():
+    for f in range(1, 17):
+        for chi in enumerate_characters(f):
+            tau, oracle = gauss_sum(chi), gauss_sum_by_terms(chi)
+            assert (tau.n, tau.coeffs) == (oracle.n, oracle.coeffs), chi
+
+
+def hurwitz_sum_by_terms(chi, s, wp):
+    """Oracle: sum_a chi(a) zeta(s, a/f), one Hurwitz zeta evaluation per term."""
+    with mp.workprec(wp):
+        total = mp.mpc(0)
+        for a in range(1, chi.modulus + 1):
+            c = chi.value(a)
+            if not c.is_zero:
+                total += embed_complex(c, wp) * mp.zeta(s, mp.mpf(a) / chi.modulus)
+        return total
+
+
+def l_value_numeric_by_terms(chi, s, bits, S=()):
+    """Oracle: L_S(s, chi) through the per-term Hurwitz sum."""
+    f = chi.modulus
+    with mp.workprec(bits + 24):
+        s = mp.mpmathify(s)
+        if f == 1:
+            total = mp.zeta(s)
+        else:
+            total = hurwitz_sum_by_terms(chi, s, bits + 24) * mp.power(f, -s)
+        for v in sorted(set(S)):
+            if f % v:
+                total *= 1 - embed_complex(chi.value(v), bits + 24) * mp.power(v, -s)
+        with mp.workprec(bits):
+            return +total
+
+
+def bits_of(x):
+    x = mp.mpmathify(x)
+    return x._mpc_ if isinstance(x, mp.mpc) else x._mpf_
+
+
+def test_l_value_numeric_independent_of_cache_state():
+    # every character mod f shares one Hurwitz vector per (s, precision);
+    # a value must not depend on which values were computed before it
+    points = [2, 3, mp.mpf(1) / 3, mp.mpc(0.5, 14)]
+    for f in [1, 5, 8, 12]:
+        chars = enumerate_characters(f)
+        for s in points:
+            for bits in [96, 128]:
+                wp = bits + 24
+                with mp.workprec(wp):
+                    s_wp = mp.mpmathify(s)
+                for chi in chars:
+                    _hurwitz_vector.cache_clear()
+                    cold = l_value_numeric(chi, s, bits, S=(2, 7))
+                    cold_sum = _character_sum(chi, s_wp, wp)
+                    for other in reversed(chars):
+                        l_value_numeric(other, s, bits, S=(2, 7))
+                    warm = l_value_numeric(chi, s, bits, S=(2, 7))
+                    oracle = l_value_numeric_by_terms(chi, s, bits, S=(2, 7))
+                    assert bits_of(cold) == bits_of(warm) == bits_of(oracle), (chi, s, bits)
+                    assert (bits_of(cold_sum) == bits_of(_character_sum(chi, s_wp, wp))
+                            == bits_of(hurwitz_sum_by_terms(chi, s_wp, wp))), (chi, s, bits)
+
+
+def derivative_by_central_difference(chi, s0, bits):
+    """Oracle: L'(s0) as a central difference at three times the precision;
+    truncation and roundoff are both about 2^(-2 bits)."""
+    wp = 3 * bits
+    with mp.workprec(wp):
+        h = mp.mpf(2) ** (-bits)
+        return (l_value_numeric(chi, mp.mpf(s0) + h, wp)
+                - l_value_numeric(chi, mp.mpf(s0) - h, wp)) / (2 * h)
+
+
+def test_derivative_matches_central_difference():
+    bits = 128
+    zeros = []
+    for f in range(1, 13):
+        for chi in enumerate_characters(f):
+            if chi.is_primitive:
+                zeros += [(chi, s0) for s0 in range(-4, 1)
+                          if archimedean_leading(chi, s0, bits)[0] == -1
+                          and (f, s0) != (1, 0)]
+    assert len(zeros) == 65
+    # oracles first: characters mod f share their Hurwitz vectors
+    oracles = [derivative_by_central_difference(chi, s0, bits) for chi, s0 in zeros]
+    for (chi, s0), old in zip(zeros, oracles):
+        _hurwitz_vector.cache_clear()
+        new = _l_derivative(chi, s0, bits)
+        assert bits_of(_l_derivative(chi, s0, bits)) == bits_of(new)
+        with mp.workprec(3 * bits):
+            assert abs(new - old) < mp.mpf(2) ** -140 * abs(old), (chi, s0)
