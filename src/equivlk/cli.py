@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import random
 import sys
 import time
@@ -25,6 +24,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import fitting, lseries, stickelberger
+from .arith import is_prime_power, pval
 from .dirichlet import DirichletChar, enumerate_characters
 from .fitting import Presentation
 from .group_algebra import (GroupRingMatrix, adjoint_and_norm,
@@ -32,10 +32,10 @@ from .group_algebra import (GroupRingMatrix, adjoint_and_norm,
                             reduced_norm)
 from .groups import group_from_json, named_group
 from .numeric import embed_complex
-from .snf import hermite_normal_form
 
 DEFAULT_SEED = 0
 DEFAULT_BITS = 128
+VERDICTS = ("pass", "fail", "info")
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +55,14 @@ class Checks:
         self.records.append(rec)
 
     def timed(self, check_id: str, inputs: dict, fn):
-        """Run fn() -> (verdict, witness) and record with timing."""
+        """Run fn() -> (verdict, witness) and record with timing.  A check
+        that raises, or returns a verdict outside VERDICTS, is recorded as
+        failed."""
         t0 = time.perf_counter()
         try:
             verdict, witness = fn()
+            if verdict not in VERDICTS:
+                raise ValueError(f"unknown verdict {verdict!r}")
         except Exception as exc:  # a crashed check is a failed check
             verdict, witness = "fail", {"error": str(exc),
                                         "type": type(exc).__name__}
@@ -75,7 +79,7 @@ def _digest(config: dict) -> str:
 def make_report(subcommand: str, seed: int, bits: int, config: dict,
                 checks: Checks) -> dict:
     records = sorted(checks.records, key=lambda r: r["id"])
-    counts = {"pass": 0, "fail": 0, "info": 0}
+    counts = dict.fromkeys(VERDICTS, 0)
     for r in records:
         counts[r["verdict"]] += 1
     return {
@@ -87,11 +91,6 @@ def make_report(subcommand: str, seed: int, bits: int, config: dict,
         "checks": records,
         "summary": {"total": len(records), **counts},
     }
-
-
-def _frac(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _num(x, digits: int = 36) -> str:
@@ -288,7 +287,7 @@ def run_annihilate_check(config, seed, bits):
         parts = fitting.cokernel_module(pres, p)
         if any(x == 0 for x in parts):
             continue
-        order_exp = sum(_pval(x, p) for x in parts)
+        order_exp = sum(pval(x, p) for x in parts)
         if order_exp > max_order_exp:
             continue
         i = accepted
@@ -308,14 +307,6 @@ def run_annihilate_check(config, seed, bits):
         checks.add("annihilate/sampling", {"accepted": accepted, "wanted": trials},
                    "fail", {"error": "not enough finite small cokernels found"})
     return checks
-
-
-def _pval(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0 and x:
-        x //= p
-        v += 1
-    return v
 
 
 def run_denominator_probe(config, seed, bits):
@@ -401,7 +392,7 @@ def run_lvalue(config, seed, bits):
     def zeta_check():
         v = lseries.l_value_exact(DirichletChar.trivial(1), -1)
         ok = v.is_rational and v.to_fraction() == Fraction(-1, 12)
-        return ("pass" if ok else "fail"), {"value": _frac(v.to_fraction())}
+        return ("pass" if ok else "fail"), {"value": str(v.to_fraction())}
 
     checks.timed("lvalue/exact-zeta-at-minus-1", {"s": -1}, zeta_check)
 
@@ -409,7 +400,7 @@ def run_lvalue(config, seed, bits):
         chi4 = next(c for c in enumerate_characters(4) if c.is_odd)
         v = lseries.l_value_exact(chi4, -2)
         ok = v.is_rational and v.to_fraction() == Fraction(-1, 2)
-        return ("pass" if ok else "fail"), {"value": _frac(v.to_fraction())}
+        return ("pass" if ok else "fail"), {"value": str(v.to_fraction())}
 
     checks.timed("lvalue/exact-chi4-at-minus-2", {"s": -2}, chi4_check)
 
@@ -475,7 +466,7 @@ def run_pi_ratio(config, seed, bits):
                                                       bits=bits, max_den=max_den)
                 ok = rat is not None
                 witness = {"pi_exponent": k,
-                           "rational": _frac(rat) if rat is not None else None}
+                           "rational": str(rat) if rat is not None else None}
                 return ("pass" if ok else "fail"), witness
 
             checks.timed(f"pi-ratio/r{r}-{place}-np{np_}-nm{nm}",
@@ -517,7 +508,7 @@ def run_stickelberger(config, seed, bits):
                 witness = {"c_values": [c for c, _, _ in results]}
                 if not ok:
                     witness["failures"] = [
-                        {"c": c, "element": {str(a): _frac(v) for a, v in el.items()}}
+                        {"c": c, "element": {str(a): str(v) for a, v in el.items()}}
                         for c, good, el in results if not good]
                 return ("pass" if ok else "fail"), witness
 
@@ -532,31 +523,20 @@ def run_kff(config, seed, bits):
     q_max = config.get("q_max", 9)
     d_max = config.get("d_max", 4)
     r_max = config.get("r_max", 3)
-    prime_powers = [q for q in range(2, q_max + 1) if _is_prime_power(q)]
+    prime_powers = [q for q in range(2, q_max + 1) if is_prime_power(q)]
     for q in prime_powers:
         for d in range(1, d_max + 1):
             for r in range(1, r_max + 1):
                 def check(q=q, d=d, r=r):
                     info = stickelberger.kgroup_finite_field(q, d, r)
-                    ok = math.prod(info["invariant_factors"]) == q ** (r * d) - 1
-                    gens = stickelberger.easy_annihilators(q, d, r)
-                    ok = ok and all(
-                        stickelberger.kgroup_annihilates(g, q, d, r) for g in gens)
+                    ok = all(stickelberger.kgroup_annihilates(g, info)
+                             for g in stickelberger.easy_annihilators(q, d, r))
                     return ("pass" if ok else "fail"), {
                         "order": info["order"],
                         "invariant_factors": info["invariant_factors"]}
 
                 checks.timed(f"kff/q{q}-d{d}-r{r}", {"q": q, "d": d, "r": r}, check)
     return checks
-
-
-def _is_prime_power(q: int) -> bool:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
 
 
 SUBCOMMANDS = {
@@ -574,7 +554,7 @@ SUBCOMMANDS = {
     "kff": run_kff,
 }
 
-# subcommands that work with an empty config
+# subcommands whose config must name a group; without --config they run on S3
 _NEEDS_CONFIG = {"char-table", "nrd", "fitt"}
 
 
@@ -607,12 +587,7 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             config = json.load(fh)
     else:
-        if args.subcommand in _NEEDS_CONFIG and args.subcommand != "nrd":
-            config = {"group": "S3"}
-        else:
-            config = {}
-        if args.subcommand in ("nrd", "fitt") and "group" not in config:
-            config["group"] = "S3"
+        config = {"group": "S3"} if args.subcommand in _NEEDS_CONFIG else {}
 
     seed = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
     bits = args.bits if args.bits is not None else config.get("bits", DEFAULT_BITS)

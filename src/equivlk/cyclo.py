@@ -344,7 +344,7 @@ class CycloNumber:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"n": self.n, "coeffs": [_frac_str(c) for c in self.coeffs]}
+        return {"n": self.n, "coeffs": [str(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json(data: dict) -> "CycloNumber":
@@ -359,10 +359,6 @@ class CycloNumber:
 
 def zeta(n: int, k: int = 1) -> CycloNumber:
     return CycloNumber.zeta(n, k)
-
-
-def _frac_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
 def _coerce(x):

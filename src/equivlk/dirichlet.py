@@ -12,39 +12,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .arith import factorize, primitive_root
 from .cyclo import CycloNumber, _divisors
 
 MAX_MODULUS = 1000
 
 __all__ = ["DirichletChar", "enumerate_characters", "unit_group_structure"]
-
-
-def _factorize(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _primitive_root_mod_pe(p: int, e: int) -> int:
-    pe = p ** e
-    phi = pe // p * (p - 1)
-    factors = {q for q, _ in _factorize(phi)}
-    for g in range(2, pe):
-        if g % p == 0:
-            continue
-        if all(pow(g, phi // q, pe) != 1 for q in factors):
-            return g
-    raise RuntimeError("no primitive root found")
 
 
 def _crt_lift(residues_moduli, f):
@@ -65,7 +38,7 @@ def unit_group_structure(f: int):
         raise ValueError(f"modulus {f} exceeds bound {MAX_MODULUS}")
     if f < 1:
         raise ValueError("modulus must be positive")
-    fact = _factorize(f)
+    fact = factorize(f)
     local = []  # (p^e, [(gen mod p^e, order)])
     for p, e in fact:
         pe = p ** e
@@ -77,8 +50,7 @@ def unit_group_structure(f: int):
             else:
                 local.append((pe, [(pe - 1, 2), (5, 2 ** (e - 2))]))
         else:
-            g = _primitive_root_mod_pe(p, e)
-            local.append((pe, [(g, pe // p * (p - 1))]))
+            local.append((pe, [(primitive_root(pe), pe // p * (p - 1))]))
     gens, orders = [], []
     for pe, gen_list in local:
         for g, d in gen_list:
@@ -195,25 +167,6 @@ class DirichletChar:
     @property
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
-
-    def primitive(self) -> "DirichletChar":
-        """The primitive character mod conductor inducing chi."""
-        c = self.conductor
-        gens, orders, _ = unit_group_structure(c)
-        exps = []
-        # match values on lifted generators
-        target = []
-        for g in gens:
-            b = g
-            while math.gcd(b, self.modulus) != 1:
-                b += c
-            target.append(self.value(b))
-        # solve chi*(g) = value by scanning the cyclic factor
-        for g, d, val in zip(gens, orders, target):
-            k = next(k for k in range(d)
-                     if (CycloNumber.zeta(d, k) if k else CycloNumber.one()) == val)
-            exps.append(k)
-        return DirichletChar(c, tuple(exps))
 
     def conjugate(self) -> "DirichletChar":
         return DirichletChar(self.modulus, tuple(-k for k in self.exps))

@@ -6,8 +6,9 @@ generated by Nrd(S) over all b x b submatrices S formed by choosing b rows
 of A (it is zero when a < b).
 
 Everything p-adic here is brute force on the finite module M/p^N: cokernel
-structure via integer Smith forms, annihilators via kernels mod p^N.  That
-is exactly what makes the results independently checkable.
+structure via integer Smith forms, annihilation by reduction against the
+Hermite form of the relation lattice plus p^N Z^n.  That is exactly what
+makes the results independently checkable.
 """
 
 from __future__ import annotations
@@ -17,18 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cyclo import CycloNumber
-from .group_algebra import (CentralVector, GroupRingElement, GroupRingMatrix,
+from .arith import pval
+from .group_algebra import (GroupRingElement, GroupRingMatrix,
                             adjoint_and_norm, central_recompose, reduced_norm)
 from .groups import FiniteGroup
-from .snf import hermite_normal_form, kernel_mod, smith_normal_form
+from .snf import hermite_normal_form, smith_normal_form
 
 __all__ = [
     "Presentation",
     "FittClass",
     "fitting_invariant",
     "cokernel_module",
-    "annihilator_bruteforce",
     "annihilates",
     "annihilation_check",
     "denominator_trivial",
@@ -45,10 +45,6 @@ class Presentation:
 
     group: FiniteGroup
     relations: GroupRingMatrix
-
-    @property
-    def num_relations(self) -> int:
-        return self.relations.nrows
 
     @property
     def num_generators(self) -> int:
@@ -140,13 +136,8 @@ def cokernel_module(pres: Presentation, p: int | None = None):
     for d in diag:
         if d == 0:
             out.append(0)
-            continue
-        pk = 1
-        while d % p == 0:
-            d //= p
-            pk *= p
-        if pk > 1:
-            out.append(pk)
+        elif d % p == 0:
+            out.append(p ** pval(d, p))
     return out
 
 
@@ -195,38 +186,6 @@ def annihilates(pres: Presentation, coeffs, p: int, N: int) -> bool:
                for v in _action_vectors(pres, coeffs))
 
 
-def annihilator_bruteforce(pres: Presentation, p: int, N: int):
-    """Generators (coefficient vectors mod p^N) of
-    Ann_{Z/p^N [G]}(M/p^N), found as a kernel mod p^N."""
-    G = pres.group
-    m = G.order
-    n = pres.num_generators * m
-    q = p ** N
-    lattice = _lattice_hnf(pres, p, N)
-    D, U, V = smith_normal_form(lattice)
-    # lattice has full rank n; quotient Z^n/lattice = sum Z/m_i via x -> xV
-    mods = [D[i][i] for i in range(n)]
-    cond = []
-    for j in range(pres.num_generators):
-        for i in range(n):
-            mi = mods[i]
-            if q % mi != 0:
-                raise RuntimeError("quotient exponent does not divide p^N")
-            f = q // mi
-            row = [f * V[j * m + g][i] % q for g in range(m)]
-            cond.append(row)
-    gens = kernel_mod(cond, q)
-    # normalize and drop duplicates
-    seen = set()
-    out = []
-    for v in gens:
-        t = tuple(x % q for x in v)
-        if any(t) and t not in seen:
-            seen.add(t)
-            out.append(list(t))
-    return out
-
-
 def denominator_trivial(G: FiniteGroup, p: int) -> bool:
     """True when p does not divide |G'|, so reduced-norm Fitting generators
     are already p-integral and annihilation needs no correction factor."""
@@ -251,26 +210,15 @@ def annihilation_check(pres: Presentation, p: int, N: int):
                     raise RuntimeError("Fitting generator is not rational")
                 c = c.to_fraction()
             coeffs.append(Fraction(c))
-        h_exp = 0
-        for c in coeffs:
-            e = 0
-            d = c.denominator
-            while d % p == 0:
-                d //= p
-                e += 1
-            h_exp = max(h_exp, e)
+        h_exp = max(pval(c.denominator, p) for c in coeffs)
         if trivial and h_exp:
             raise RuntimeError("unexpected p-denominator with p prime to |G'|")
         q = p ** N
         # p^h_exp * c is p-integral; prime-to-p denominators are units mod p^N
         scaled = []
         for c in coeffs:
-            e = 0
-            d = c.denominator
-            while d % p == 0:
-                d //= p
-                e += 1
-            scaled.append(c.numerator * p ** (h_exp - e) * pow(d, -1, q) % q)
+            t = c * p ** h_exp
+            scaled.append(t.numerator * pow(t.denominator, -1, q) % q)
         ok = annihilates(pres, scaled, p, N)
         results.append({"h_exponent": h_exp, "annihilates": ok})
     return results
@@ -284,26 +232,16 @@ def adjoint_integrality_probe(H: GroupRingMatrix, p: int):
     """Minimum p-valuation over all coefficients of H*; negative means H*
     falls outside Z_p[G] and is an integrality witness for p."""
     Hstar, _ = adjoint_and_norm(H)
-    min_val = None
+    vals = []
     for row in Hstar.entries:
         for x in row:
             for c in x.coeffs:
                 if not c.is_rational:
                     raise RuntimeError("adjoint coefficient is not rational")
                 q = c.to_fraction()
-                if q == 0:
-                    continue
-                v = 0
-                num, den = q.numerator, q.denominator
-                while num % p == 0:
-                    num //= p
-                    v += 1
-                while den % p == 0:
-                    den //= p
-                    v -= 1
-                if min_val is None or v < min_val:
-                    min_val = v
-    return 0 if min_val is None else min_val
+                if q:
+                    vals.append(pval(q, p))
+    return min(vals, default=0)
 
 
 def commutative_determinant(A: GroupRingMatrix) -> GroupRingElement:

@@ -1,8 +1,8 @@
 """Group rings R[G], matrices over them, and reduced norms.
 
-Coefficients are duck-typed (Fraction, CycloNumber and PAdic all work);
+Coefficients are duck-typed (Fraction and CycloNumber both work);
 anything needing Wedderburn data (reduced characteristic polynomials,
-reduced norms, generalized adjoints, central decompositions) works over
+reduced norms, generalized adjoints, central idempotents) works over
 exact cyclotomic coefficients via the explicit irreducible representations
 of the group.
 
@@ -30,13 +30,11 @@ __all__ = [
     "GroupRingMatrix",
     "CentralVector",
     "central_idempotents",
-    "central_decompose",
     "central_recompose",
     "apply_irrep",
     "charpoly_exact",
     "reduced_char_poly",
     "reduced_norm",
-    "generalized_adjoint",
     "adjoint_and_norm",
 ]
 
@@ -102,14 +100,6 @@ class GroupRingElement:
     def scale(self, scalar) -> "GroupRingElement":
         return GroupRingElement(self.group, [scalar * c for c in self.coeffs])
 
-    def sharp(self) -> "GroupRingElement":
-        """The anti-involution sum c_g g  ->  sum c_g g^{-1}."""
-        G = self.group
-        out = [None] * G.order
-        for g, c in enumerate(self.coeffs):
-            out[G.inv[g]] = c
-        return GroupRingElement(G, out)
-
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
@@ -137,8 +127,7 @@ class GroupRingElement:
 def _coeff_json(c):
     if hasattr(c, "to_json"):
         return c.to_json()
-    c = Fraction(c)
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
+    return str(Fraction(c))
 
 
 class GroupRingMatrix:
@@ -203,12 +192,6 @@ class GroupRingMatrix:
         """Right-multiply every entry by x (used with central x)."""
         return GroupRingMatrix(self.group, [[e * x for e in row] for row in self.entries])
 
-    def sharp(self) -> "GroupRingMatrix":
-        """Conjugate-transpose analogue: transpose + entrywise sharp."""
-        return GroupRingMatrix(self.group,
-                               [[self.entries[j][i].sharp() for j in range(self.nrows)]
-                                for i in range(self.ncols)])
-
     def __eq__(self, other):
         if not isinstance(other, GroupRingMatrix):
             return NotImplemented
@@ -251,20 +234,6 @@ def central_idempotents(G: FiniteGroup) -> list[GroupRingElement]:
         coeffs = [scale * chi.values[class_of[G.inv[g]]] for g in range(G.order)]
         out.append(GroupRingElement(G, coeffs))
     return out
-
-
-def central_decompose(x: GroupRingElement) -> CentralVector:
-    """Wedderburn components of a central element: s_chi = sum_g c_g chi(g) / n_chi."""
-    G = x.group
-    _, class_of = G.conjugacy_classes()
-    values = []
-    for chi in G.character_table():
-        s = CycloNumber.zero()
-        for g, c in enumerate(x.coeffs):
-            if c != 0:
-                s = s + c * chi.values[class_of[g]]
-        values.append(s * Fraction(1, chi.degree))
-    return CentralVector(G, tuple(values))
 
 
 def central_recompose(v: CentralVector) -> GroupRingElement:
@@ -373,10 +342,6 @@ def adjoint_and_norm(H: GroupRingMatrix):
             comp = term if comp is None else comp + term
         total = comp if total is None else total + comp
     return total, CentralVector(G, tuple(nrd_values))
-
-
-def generalized_adjoint(H: GroupRingMatrix) -> GroupRingMatrix:
-    return adjoint_and_norm(H)[0]
 
 
 def commutative_ideal_lattice(G: FiniteGroup, generators, p: int, prec: int):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CycloNumber, euler_phi
+from .arith import is_prime, primitive_root
+from .cyclo import CycloNumber
 from .linalg import kernel_basis, rref
 
 MAX_ABELIAN_ORDER = 512
@@ -108,9 +109,6 @@ class FiniteGroup:
         raise ValueError("missing inverse")
 
     # -- basic structure ------------------------------------------------
-
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
     def power(self, g: int, k: int) -> int:
         result = self.id
@@ -209,10 +207,6 @@ class Character:
     index: int
     degree: int
     values: tuple[CycloNumber, ...]
-
-    def value_at(self, group: FiniteGroup, g: int) -> CycloNumber:
-        _, class_of = group.conjugacy_classes()
-        return self.values[class_of[g]]
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "values": [v.to_json() for v in self.values]}
@@ -318,16 +312,12 @@ def group_from_json(data: dict) -> FiniteGroup:
 # character table: finite-field splitting of the class algebra + exact lift
 
 
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
-
-
 def _dixon_character_table(G: FiniteGroup):
     classes, class_of = G.conjugacy_classes()
     k = len(classes)
     e = G.exponent
     q = e + 1
-    while not (_is_prime(q) and q > 2 * G.order):
+    while not (is_prime(q) and q > 2 * G.order):
         q += e
     # class-algebra structure constants: C_i * C_j = sum_k a_ijk C_k, where
     # a_ijk = #{x in C_i : x^{-1} z in C_j} for any fixed z in C_k; the
@@ -366,7 +356,7 @@ def _dixon_character_table(G: FiniteGroup):
         omegas.append(om)
 
     inv_class = [class_of[G.inv[reps[i]]] for i in range(k)]
-    z = _primitive_root_of_unity(q, e)
+    z = pow(primitive_root(q), (q - 1) // e, q)  # of exact order e
     chars = []
     for om in omegas:
         t = 0
@@ -395,23 +385,6 @@ def _dixon_character_table(G: FiniteGroup):
     chars.sort(key=lambda c: (c[0], [v.to_json() for v in c[1]] != [CycloNumber.one().to_json()] * k,
                               str([v.to_json() for v in c[1]])))
     return tuple(Character(i, deg, tuple(vals)) for i, (deg, vals) in enumerate(chars))
-
-
-def _primitive_root_of_unity(q, e):
-    """An element of exact multiplicative order e in F_q (requires e | q-1)."""
-    factors = set()
-    n, d = q - 1, 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // r, q) != 1 for r in factors):
-            return pow(g, (q - 1) // e, q)
-    raise RuntimeError("no primitive root found")
 
 
 def _unit_vec(k, j, q):

@@ -7,7 +7,7 @@ Sizes here are tiny (<= ~64), plain Gaussian elimination is enough.
 
 from __future__ import annotations
 
-__all__ = ["rref", "solve", "kernel_basis", "mat_mul", "mat_identity", "rank"]
+__all__ = ["rref", "solve", "kernel_basis", "mat_mul"]
 
 
 def mat_mul(A, B, zero):
@@ -26,10 +26,6 @@ def mat_mul(A, B, zero):
                 if b != zero:
                     row[j] = row[j] + a * b
     return out
-
-
-def mat_identity(n, zero, one):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def rref(M, zero):
@@ -55,12 +51,6 @@ def rref(M, zero):
         if r == rows:
             break
     return R, pivots
-
-
-def rank(M, zero) -> int:
-    if not M:
-        return 0
-    return len(rref(M, zero)[1])
 
 
 def solve(M, rhs, zero):

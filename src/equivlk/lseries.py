@@ -37,7 +37,6 @@ from .numeric import DEFAULT_BITS, detect_rational, embed_complex
 
 __all__ = [
     "bernoulli_number",
-    "bernoulli_polynomial",
     "bernoulli_row",
     "gen_bernoulli",
     "l_value_exact",
@@ -70,12 +69,6 @@ def bernoulli_number(n: int) -> Fraction:
     for k in range(n):
         acc += math.comb(n + 1, k) * bernoulli_number(k)
     return -acc / (n + 1)
-
-
-def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
-    x = Fraction(x)
-    return sum((math.comb(n, k) * bernoulli_number(k) * x ** (n - k)
-                for k in range(n + 1)), Fraction(0))
 
 
 @lru_cache(maxsize=None)

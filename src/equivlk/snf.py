@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
-__all__ = ["smith_normal_form", "hermite_normal_form", "kernel_mod",
-           "invariant_factors"]
+__all__ = ["smith_normal_form", "hermite_normal_form", "kernel_mod"]
 
 
 def smith_normal_form(A):
@@ -90,12 +89,6 @@ def smith_normal_form(A):
             U[t] = [-x for x in U[t]]
         t += 1
     return D, U, V
-
-
-def invariant_factors(A):
-    """Nonzero diagonal of the Smith form (the cokernel's cyclic orders)."""
-    D, _, _ = smith_normal_form(A)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
 
 
 def hermite_normal_form(A):

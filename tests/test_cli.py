@@ -77,6 +77,20 @@ def test_reports_sorted_and_reproducible():
         strip_times(json.dumps(rep3, sort_keys=True))
 
 
+def test_kff_rejects_a_false_annihilator(monkeypatch):
+    # x - 1 does not kill K_1(F_9) = Z/8, where x acts as 3; the verdict
+    # comes from the Smith form, the witness stays {order, invariant_factors}
+    from equivlk import stickelberger
+
+    monkeypatch.setattr(stickelberger, "easy_annihilators",
+                        lambda q, d, r: [[-1, 1]])
+    rep = run_report("kff", {"q_max": 3, "d_max": 2, "r_max": 1})
+    by_id = {r["id"]: r for r in rep["checks"]}
+    assert by_id["kff/q3-d2-r1"]["verdict"] == "fail"
+    assert by_id["kff/q3-d2-r1"]["witness"] == {"order": 8,
+                                                "invariant_factors": [8]}
+
+
 def test_main_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q_max": 3, "d_max": 2, "r_max": 1}))
@@ -105,6 +119,13 @@ def test_pi_ratio_runs_at_cli_bits(tmp_path, monkeypatch):
     assert report["bits"] == 80
     assert {r["inputs"]["bits"] for r in report["checks"]} == {80}
     assert used and set(used) == {80}
+
+
+@pytest.mark.parametrize("subcommand", ["char-table", "nrd", "fitt"])
+def test_group_campaigns_default_to_s3(subcommand, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([subcommand, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {"group": "S3"}
 
 
 def test_annihilate_bad_case_is_a_failed_record(tmp_path):
@@ -146,3 +167,14 @@ def test_raising_check_records_exception_type():
     rec = checks.records[0]
     assert rec["verdict"] == "fail"
     assert rec["witness"] == {"error": "no such case", "type": "ValueError"}
+
+
+def test_unknown_verdict_is_a_failed_record():
+    checks = Checks()
+    checks.timed("demo/maybe", {}, lambda: ("maybe", {"detail": 1}))
+    rec = checks.records[0]
+    assert rec["verdict"] == "fail"
+    assert rec["witness"] == {"error": "unknown verdict 'maybe'",
+                              "type": "ValueError"}
+    assert make_report("demo", 0, 128, {}, checks)["summary"] == {
+        "total": 1, "pass": 0, "fail": 1, "info": 0}

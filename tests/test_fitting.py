@@ -3,13 +3,39 @@ from fractions import Fraction
 
 import pytest
 
-from equivlk.fitting import (Presentation, adjoint_integrality_probe,
-                             annihilates, annihilation_check,
-                             annihilator_bruteforce, cokernel_module,
+from equivlk.fitting import (Presentation, _lattice_hnf,
+                             adjoint_integrality_probe, annihilates,
+                             annihilation_check, cokernel_module,
                              commutative_determinant, denominator_trivial,
                              fitting_invariant)
 from equivlk.group_algebra import GroupRingMatrix, central_recompose, reduced_norm
 from equivlk.groups import from_abelian_invariants, named_group
+from equivlk.snf import kernel_mod, smith_normal_form
+
+
+def annihilator_bruteforce(pres, p, N):
+    """Oracle: generators (coefficient vectors mod p^N) of
+    Ann_{Z/p^N [G]}(M/p^N), found as a kernel mod p^N."""
+    m = pres.group.order
+    n = pres.num_generators * m
+    q = p ** N
+    D, U, V = smith_normal_form(_lattice_hnf(pres, p, N))
+    # the lattice has full rank n; Z^n/lattice = sum Z/m_i via x -> xV
+    mods = [D[i][i] for i in range(n)]
+    cond = []
+    for j in range(pres.num_generators):
+        for i in range(n):
+            mi = mods[i]
+            if q % mi != 0:
+                raise RuntimeError("quotient exponent does not divide p^N")
+            f = q // mi
+            cond.append([f * V[j * m + g][i] % q for g in range(m)])
+    out = []
+    for v in kernel_mod(cond, q):
+        t = [x % q for x in v]
+        if any(t) and t not in out:
+            out.append(t)
+    return out
 
 
 def test_trivial_presentation():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from equivlk.cyclo import CycloNumber
 from equivlk.dirichlet import enumerate_characters
 from equivlk.lseries import l_value_exact
-from equivlk.stickelberger import (easy_annihilators, fractional_ideal_skeleton,
-                                   higher_w, integrality_check,
+from equivlk.stickelberger import (easy_annihilators, higher_w,
+                                   integrality_check,
                                    kgroup_annihilates, kgroup_finite_field,
                                    sigma_action, smoothed_element,
                                    stickelberger_element, valid_smoothing_c)
@@ -90,14 +91,6 @@ def test_invalid_c_can_fail():
     assert any(v.denominator != 1 for v in el.values())
 
 
-def test_skeleton():
-    sk = fractional_ideal_skeleton(5, 2)
-    assert sk["partial"] is True
-    assert set(sk["classes"]) == {"1", "2"}
-    with pytest.raises(ValueError):
-        fractional_ideal_skeleton(5, 3)
-
-
 def test_kgroup_orders():
     for q in [2, 3, 4, 5, 7, 8, 9]:
         for d in [1, 2, 3, 4]:
@@ -108,10 +101,41 @@ def test_kgroup_orders():
         kgroup_finite_field(6, 2, 1)
 
 
+def annihilates_by_congruence(coeffs, q, d, r):
+    """Oracle: K_{2r-1}(F_{q^d}) is Z/(q^(rd) - 1) with x acting as q^r, so
+    sum_i coeffs[i] x^i kills it iff sum_i coeffs[i] q^(r (i mod d)) is 0
+    mod q^(rd) - 1."""
+    order = q ** (r * d) - 1
+    return sum(c * pow(q, r * (i % d), order) for i, c in enumerate(coeffs)) % order == 0
+
+
 def test_kgroup_annihilators():
-    gens = easy_annihilators(3, 2, 2)
-    for g in gens:
-        assert kgroup_annihilates(g, 3, 2, 2)
+    info = kgroup_finite_field(3, 2, 2)
+    for g in easy_annihilators(3, 2, 2):
+        assert kgroup_annihilates(g, info)
     # x - q^r annihilates; x - 1 does not (for d = 2, r = 1, q = 3)
-    assert kgroup_annihilates([-3, 1], 3, 2, 1)
-    assert not kgroup_annihilates([-1, 1], 3, 2, 1)
+    info = kgroup_finite_field(3, 2, 1)
+    assert kgroup_annihilates([-3, 1], info)
+    assert not kgroup_annihilates([-1, 1], info)
+
+
+def test_kgroup_annihilates_matches_congruence():
+    rng = random.Random(7)
+    for q in [2, 3, 4, 5, 7, 8, 9]:
+        for d in range(1, 5):
+            for r in range(1, 4):
+                info = kgroup_finite_field(q, d, r)
+                frob, _ = easy_annihilators(q, d, r)
+                cands = easy_annihilators(q, d, r)
+                for _ in range(10):
+                    h = [rng.randint(-50, 50) for _ in range(d)]
+                    multiple = [0] * d  # h * (x - q^r) in Z[x]/(x^d - 1)
+                    for i, a in enumerate(h):
+                        for j, b in enumerate(frob):
+                            multiple[(i + j) % d] += a * b
+                    cands += [multiple, [multiple[0] + 1] + multiple[1:], h,
+                              [rng.randint(-50, 50) for _ in range(2 * d)]]
+                verdicts = [kgroup_annihilates(g, info) for g in cands]
+                assert verdicts == [annihilates_by_congruence(g, q, d, r)
+                                    for g in cands], (q, d, r)
+                assert all(verdicts[:2]) and verdicts[2::4].count(True) == 10
