@@ -64,10 +64,13 @@ class Checks:
             if verdict not in VERDICTS:
                 raise ValueError(f"unknown verdict {verdict!r}")
         except Exception as exc:  # a crashed check is a failed check
-            verdict, witness = "fail", {"error": str(exc),
-                                        "type": type(exc).__name__}
+            verdict, witness = "fail", _error(exc)
         ms = int((time.perf_counter() - t0) * 1000)
         self.add(check_id, inputs, verdict, witness, ms)
+
+
+def _error(exc: Exception) -> dict:
+    return {"error": str(exc), "type": type(exc).__name__}
 
 
 def _digest(config: dict) -> str:
@@ -114,13 +117,26 @@ def _group_label(config_entry) -> str:
     return json.dumps(config_entry, sort_keys=True)
 
 
+def _campaign_group(checks: Checks, prefix: str, config_entry):
+    """The group of a one-group campaign, or None after recording a failed
+    check <prefix>/group-<label> when it cannot be built."""
+    try:
+        return _group_of(config_entry)
+    except Exception as exc:
+        label = _group_label(config_entry)
+        checks.add(f"{prefix}/group-{label}", {"group": label}, "fail", _error(exc))
+        return None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def run_char_table(config, seed, bits):
     checks = Checks()
-    G = _group_of(config["group"])
+    G = _campaign_group(checks, "char-table", config["group"])
+    if G is None:
+        return checks
     label = _group_label(config["group"])
 
     def table_check():
@@ -142,7 +158,9 @@ def run_char_table(config, seed, bits):
 
 def run_nrd(config, seed, bits):
     checks = Checks()
-    G = _group_of(config["group"])
+    G = _campaign_group(checks, "nrd", config["group"])
+    if G is None:
+        return checks
     label = _group_label(config["group"])
     n = config.get("n", 2)
     trials = config.get("trials", 10)
@@ -196,7 +214,9 @@ def run_fitt(config, seed, bits):
     if mode == "abelian-agreement":
         return _run_fitt_abelian(config, seed)
     checks = Checks()
-    G = _group_of(config["group"])
+    G = _campaign_group(checks, "fitt", config["group"])
+    if G is None:
+        return checks
     label = _group_label(config["group"])
     p = config.get("p", 5)
     a = config.get("a", 2)
@@ -238,11 +258,7 @@ def _run_fitt_abelian(config, seed):
             fitt = fitting.fitting_invariant(pres)
             nrd_gen = central_recompose(fitt.generators[0])
             det_gen = fitting.commutative_determinant(M)
-            def as_frac(c):
-                return c.to_fraction() if hasattr(c, "to_fraction") else Fraction(c)
-
-            exact_equal = all(as_frac(c1) == as_frac(c2)
-                              for c1, c2 in zip(nrd_gen.coeffs, det_gen.coeffs))
+            exact_equal = nrd_gen == det_gen
             lat_nrd = commutative_ideal_lattice(G, [nrd_gen], p, prec)
             lat_det = commutative_ideal_lattice(G, [det_gen], p, prec)
             ok = exact_equal and lat_nrd == lat_det
@@ -273,7 +289,7 @@ def run_annihilate_check(config, seed, bits):
                 raise ValueError(f"case ({name}, {p}) has p | |G'|")
         except Exception as exc:
             checks.add(f"annihilate/case-{name}-p{p}", {"group": name, "p": p},
-                       "fail", {"error": str(exc), "type": type(exc).__name__})
+                       "fail", _error(exc))
             continue
         groups.append((name, G, p))
     accepted = 0

@@ -4,7 +4,9 @@ Elements are stored on the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1)
 with Fraction coefficients, reduced modulo the n-th cyclotomic polynomial.
 After every operation the representation is normalized to the smallest
 conductor d | n containing the element, so equality and rationality tests
-are structural.
+are structural.  The inner loops (conductor reduction, lifts, products,
+Galois action) run on integer numerators over one common denominator and
+build each Fraction coefficient once.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from .arith import factorize
 
 __all__ = ["CycloNumber", "cyclotomic_poly", "euler_phi", "zeta"]
 
@@ -75,18 +79,19 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta_n^e on the power basis, e up to max(n, 2*phi(n)-1)."""
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_n^e on the power basis, e up to max(n, 2*phi(n)-1).  The
+    entries are integers, since Phi_n is monic with integer coefficients."""
     phi = euler_phi(n)
     poly = cyclotomic_poly(n)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * phi
-    cur[0] = Fraction(1)
+    rows: list[tuple[int, ...]] = []
+    cur = [0] * phi
+    cur[0] = 1
     for _ in range(max(n, 2 * phi - 1)):
         rows.append(tuple(cur))
         # multiply by zeta: shift and reduce the overflow term by Phi_n
         top = cur[-1]
-        nxt = [Fraction(0)] + cur[:-1]
+        nxt = [0] + cur[:-1]
         if top:
             for j in range(phi):
                 nxt[j] -= top * poly[j]
@@ -98,17 +103,18 @@ def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
 def _descent_solver(n: int, d: int):
     """Solver data for expressing conductor-n elements in Q(zeta_d), d | n.
 
-    Returns (transform, pivots): transform is the row-operation matrix T of a
-    row reduction of the phi(n) x phi(d) embedding matrix M, pivots maps each
-    pivot row to its column.  An element v descends iff the non-pivot rows of
-    T v vanish; its Q(zeta_d) coordinates are the pivot rows of T v.
+    Returns (den, rows, pivots, rank): den * T = rows is an integer matrix,
+    for T the row-operation matrix of a row reduction of the
+    phi(n) x phi(d) embedding matrix M, and pivots maps each pivot row to
+    its column.  An element v descends iff the non-pivot rows of T v vanish;
+    its Q(zeta_d) coordinates are the pivot rows of T v.
     """
     phi_n = euler_phi(n)
     phi_d = euler_phi(d)
     table = _power_table(n)
     step = n // d
     # column j of M = coordinates of zeta_d^j = zeta_n^(j * step)
-    M = [[table[j * step][i] for j in range(phi_d)] for i in range(phi_n)]
+    M = [[Fraction(table[j * step][i]) for j in range(phi_d)] for i in range(phi_n)]
     T = [[Fraction(1 if i == j else 0) for j in range(phi_n)] for i in range(phi_n)]
     pivots: list[tuple[int, int]] = []
     row = 0
@@ -128,7 +134,20 @@ def _descent_solver(n: int, d: int):
                 T[r] = [a - f * b for a, b in zip(T[r], T[row])]
         pivots.append((row, col))
         row += 1
-    return tuple(tuple(r) for r in T), tuple(pivots), row
+    den = math.lcm(*(x.denominator for r in T for x in r))
+    rows = tuple(tuple(int(x * den) for x in r) for r in T)
+    return den, rows, tuple(pivots), row
+
+
+def _numerators(coeffs) -> tuple[int, list[int]]:
+    """(den, nums) with coeffs[k] = nums[k] / den, den the least common
+    denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _over(nums, den: int) -> list[Fraction]:
+    return [Fraction(x, den) for x in nums]
 
 
 class CycloNumber:
@@ -137,11 +156,14 @@ class CycloNumber:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs, normalize: bool = True):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(coeffs) != euler_phi(n):
             raise ValueError(f"need phi({n}) = {euler_phi(n)} coefficients, got {len(coeffs)}")
         if normalize and n > 1:
-            n, coeffs = _reduce_conductor(n, coeffs)
+            den, nums = _numerators(coeffs)
+            d, nums, scale = _reduce_conductor(n, nums)
+            if d != n:
+                n, coeffs = d, tuple(_over(nums, den * scale))
         self.n = n
         self.coeffs = coeffs
 
@@ -183,14 +205,15 @@ class CycloNumber:
             raise ValueError(f"{self.n} does not divide {m}")
         table = _power_table(m)
         step = m // self.n
-        out = [Fraction(0)] * euler_phi(m)
-        for k, c in enumerate(self.coeffs):
-            if c:
+        den, nums = _numerators(self.coeffs)
+        out = [0] * euler_phi(m)
+        for k, x in enumerate(nums):
+            if x:
                 row = table[(k * step) % m]
                 for j, rj in enumerate(row):
                     if rj:
-                        out[j] += c * rj
-        return tuple(out)
+                        out[j] += x * rj
+        return tuple(_over(out, den))
 
     @property
     def is_zero(self) -> bool:
@@ -254,13 +277,15 @@ class CycloNumber:
         m, a, b = self._common(other)
         phi = euler_phi(m)
         table = _power_table(m)
-        conv = [Fraction(0)] * (2 * phi - 1)
+        den_a, a = _numerators(a)
+        den_b, b = _numerators(b)
+        conv = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        out = list(conv[:phi])
+        out = conv[:phi]
         for e in range(phi, 2 * phi - 1):
             c = conv[e]
             if c:
@@ -268,7 +293,7 @@ class CycloNumber:
                 for j, rj in enumerate(row):
                     if rj:
                         out[j] += c * rj
-        return CycloNumber(m, out)
+        return CycloNumber(m, _over(out, den_a * den_b))
 
     __rmul__ = __mul__
 
@@ -329,14 +354,15 @@ class CycloNumber:
         if self.n == 1:
             return self
         table = _power_table(self.n)
-        out = [Fraction(0)] * euler_phi(self.n)
-        for k, c in enumerate(self.coeffs):
-            if c:
+        den, nums = _numerators(self.coeffs)
+        out = [0] * euler_phi(self.n)
+        for k, x in enumerate(nums):
+            if x:
                 row = table[(k * t) % self.n]
                 for j, rj in enumerate(row):
                     if rj:
-                        out[j] += c * rj
-        return CycloNumber(self.n, out)
+                        out[j] += x * rj
+        return CycloNumber(self.n, _over(out, den))
 
     def conjugate(self) -> "CycloNumber":
         return self.galois(self.n - 1) if self.n > 1 else self
@@ -369,40 +395,33 @@ def _coerce(x):
     return NotImplemented
 
 
-def _reduce_conductor(n: int, coeffs: tuple[Fraction, ...]):
-    """Normalize to the smallest conductor d | n containing the element."""
+def _reduce_conductor(n: int, nums: list[int]):
+    """Normalize sum_k nums[k] zeta_n^k, nums integers, to the smallest
+    conductor d | n containing it: returns (d, nums', scale) with the
+    element equal to sum_k (nums'[k] / scale) zeta_d^k."""
+    scale = 1
     changed = True
     while changed and n > 1:
         changed = False
-        m = n
-        p = 2
-        primes = []
-        while p * p <= m:
-            if m % p == 0:
-                primes.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.append(m)
-        support = [(i, c) for i, c in enumerate(coeffs) if c]
-        for p in primes:
+        support = [(i, x) for i, x in enumerate(nums) if x]
+        for p, _ in factorize(n):
             d = n // p
-            T, pivots, rank = _descent_solver(n, d)
+            den, T, pivots, rank = _descent_solver(n, d)
 
             def row_of_tv(r):
-                return sum(T[r][i] * c for i, c in support)
+                row = T[r]
+                return sum(row[i] * x for i, x in support)
 
             # the element descends iff the non-pivot rows of T v vanish
-            if any(row_of_tv(r) for r in range(rank, len(coeffs))):
+            if any(row_of_tv(r) for r in range(rank, len(nums))):
                 continue
-            new = [Fraction(0)] * euler_phi(d)
+            new = [0] * euler_phi(d)
             for row, col in pivots:
                 new[col] = row_of_tv(row)
-            n, coeffs = d, tuple(new)
+            n, nums, scale = d, new, scale * den
             changed = True
             break
-    return n, coeffs
+    return n, nums, scale
 
 
 def _poly_invmod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:

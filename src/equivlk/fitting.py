@@ -203,20 +203,13 @@ def annihilation_check(pres: Presentation, p: int, N: int):
     results = []
     trivial = denominator_trivial(pres.group, p)
     for z in fitt.recomposed_generators():
-        coeffs = []
-        for c in z.coeffs:
-            if not (isinstance(c, Fraction) or isinstance(c, int)):
-                if not c.is_rational:
-                    raise RuntimeError("Fitting generator is not rational")
-                c = c.to_fraction()
-            coeffs.append(Fraction(c))
-        h_exp = max(pval(c.denominator, p) for c in coeffs)
+        h_exp = max(pval(c.denominator, p) for c in z.coeffs)
         if trivial and h_exp:
             raise RuntimeError("unexpected p-denominator with p prime to |G'|")
         q = p ** N
         # p^h_exp * c is p-integral; prime-to-p denominators are units mod p^N
         scaled = []
-        for c in coeffs:
+        for c in z.coeffs:
             t = c * p ** h_exp
             scaled.append(t.numerator * pow(t.denominator, -1, q) % q)
         ok = annihilates(pres, scaled, p, N)
@@ -235,12 +228,7 @@ def adjoint_integrality_probe(H: GroupRingMatrix, p: int):
     vals = []
     for row in Hstar.entries:
         for x in row:
-            for c in x.coeffs:
-                if not c.is_rational:
-                    raise RuntimeError("adjoint coefficient is not rational")
-                q = c.to_fraction()
-                if q:
-                    vals.append(pval(q, p))
+            vals += [pval(c, p) for c in x.coeffs if c]
     return min(vals, default=0)
 
 

@@ -1,35 +1,39 @@
 """Group rings R[G], matrices over them, and reduced norms.
 
-Coefficients are duck-typed (Fraction and CycloNumber both work);
-anything needing Wedderburn data (reduced characteristic polynomials,
-reduced norms, generalized adjoints, central idempotents) works over
-exact cyclotomic coefficients via the explicit irreducible representations
-of the group.
+Group-ring arithmetic is duck-typed in its coefficients (Fraction and
+CycloNumber both work).  The Wedderburn data of a matrix over Q[G] (reduced
+characteristic polynomials, reduced norms, generalized adjoints) comes from
+the explicit irreducible representations of the group, over exact
+cyclotomic coefficients.
 
 For an n x n matrix H over Q[G] and an irreducible character chi of degree
 n_chi, the chi-component of the reduced characteristic polynomial is the
-characteristic polynomial of rho_chi(H), an (n*n_chi) x (n*n_chi) matrix
-over Q(zeta_e).  The reduced norm is its constant term up to sign, and the
-generalized adjoint
+characteristic polynomial sum_j alpha_{chi,j} x^j of rho_chi(H), an
+(n*n_chi) x (n*n_chi) matrix over Q(zeta_e).  The reduced norm is its
+constant term up to sign, and the generalized adjoint
 
-    H*_chi = (-1)^(n*n_chi + 1) * sum_{j=1}^{n*n_chi} alpha_j H^(j-1) e_chi
+    H* = sum_{j>=1} H^(j-1) c_j,  c_j = sum_chi (-1)^(n*n_chi + 1) alpha_{chi,j} e_chi
 
-satisfies H H* = H* H = Nrd(H) * I componentwise.
+(alpha_{chi,j} = 0 for j > n*n_chi) satisfies H H* = H* H = Nrd(H) * I.
+Galois-conjugate characters have conjugate polynomials, so each c_j is a
+rational central element: it is built once, one class sum per conjugacy
+class (central_recompose), and H* is assembled from the rational c_j with
+group-ring products over Q only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, euler_phi
 from .groups import Character, FiniteGroup
 
 __all__ = [
     "GroupRingElement",
     "GroupRingMatrix",
     "CentralVector",
-    "central_idempotents",
     "central_recompose",
     "apply_irrep",
     "charpoly_exact",
@@ -225,44 +229,56 @@ class CentralVector:
         return {"components": [v.to_json() for v in self.values]}
 
 
-def central_idempotents(G: FiniteGroup) -> list[GroupRingElement]:
-    """e_chi = (n_chi/|G|) sum_g chi(g^{-1}) g, in character-table order."""
-    _, class_of = G.conjugacy_classes()
-    out = []
-    for chi in G.character_table():
-        scale = Fraction(chi.degree, G.order)
-        coeffs = [scale * chi.values[class_of[G.inv[g]]] for g in range(G.order)]
-        out.append(GroupRingElement(G, coeffs))
-    return out
-
-
 def central_recompose(v: CentralVector) -> GroupRingElement:
+    """The central element sum_chi v_chi e_chi of Q[G].
+
+    Its coefficient on g is (1/|G|) sum_chi n_chi v_chi chi(g^-1), a class
+    function, so it is summed over the characters once per conjugacy class.
+    Every caller recomposes a Galois-stable vector (a reduced norm, a c_j of
+    the adjoint, a Fitting generator), whose class sums are rational; a sum
+    that is not raises RuntimeError."""
     G = v.group
-    idems = central_idempotents(G)
-    acc = idems[0].scale(v.values[0])
-    for e, s in zip(idems[1:], v.values[1:]):
-        acc = acc + e.scale(s)
-    return acc
+    table = G.character_table()
+    classes, class_of = G.conjugacy_classes()
+    weights = [s * Fraction(chi.degree, G.order) for chi, s in zip(table, v.values)]
+    sums = []
+    for cls in classes:
+        k = class_of[G.inv[cls[0]]]
+        total = sum((w * chi.values[k] for w, chi in zip(weights, table)),
+                    CycloNumber.zero())
+        if not total.is_rational:
+            raise RuntimeError("central element is not rational")
+        sums.append(total.to_fraction())
+    return GroupRingElement(G, [sums[class_of[g]] for g in range(G.order)])
 
 
 def apply_irrep(H: GroupRingMatrix, chi: Character):
-    """Block matrix rho_chi applied entrywise: (n*n_chi) x (n*n_chi) cyclotomic."""
+    """Block matrix rho_chi(H), (n*n_chi) x (n*n_chi) cyclotomic, for H over Q[G].
+
+    Each entry sum_g c_g rho(g)_ab is accumulated as one coefficient vector
+    on the power basis of the conductor of the irrep's matrices and becomes
+    one CycloNumber, so it is normalised once."""
     G = H.group
     rho = G.irreducible_representation(chi)
     d = chi.degree
+    n = math.lcm(*(x.n for mat in rho.matrices for row in mat for x in row))
+    lifted = [[[x.lift(n) for x in row] for row in mat] for mat in rho.matrices]
+    phi = euler_phi(n)
     zero = CycloNumber.zero()
-    N = H.nrows * d
-    M = [[zero] * (H.ncols * d) for _ in range(N)]
-    for i in range(H.nrows):
-        for j in range(H.ncols):
-            for g, c in enumerate(H.entries[i][j].coeffs):
-                if c == 0:
-                    continue
-                mat = rho.matrices[g]
-                for a in range(d):
-                    row = M[i * d + a]
-                    for b in range(d):
-                        row[j * d + b] = row[j * d + b] + c * mat[a][b]
+    M = [[zero] * (H.ncols * d) for _ in range(H.nrows * d)]
+    for i, hrow in enumerate(H.entries):
+        for j, x in enumerate(hrow):
+            support = [(c, lifted[g]) for g, c in enumerate(x.coeffs) if c]
+            if not support:
+                continue
+            for a in range(d):
+                for b in range(d):
+                    acc = [Fraction(0)] * phi
+                    for c, mat in support:
+                        for k, y in enumerate(mat[a][b]):
+                            if y:
+                                acc[k] += c * y
+                    M[i * d + a][j * d + b] = CycloNumber(n, acc)
     return M
 
 
@@ -305,43 +321,37 @@ def reduced_char_poly(H: GroupRingMatrix) -> list[list[CycloNumber]]:
 
 def reduced_norm(H: GroupRingMatrix) -> CentralVector:
     """Nrd(H) componentwise: det(rho_chi(H)) = (-1)^deg * charpoly(0)."""
-    G = H.group
-    values = []
-    for chi, poly in zip(G.character_table(), reduced_char_poly(H)):
-        deg = len(poly) - 1
-        c0 = poly[0]
-        values.append(c0 if deg % 2 == 0 else -c0)
-    return CentralVector(G, tuple(values))
+    return _norm(H.group, reduced_char_poly(H))
+
+
+def _norm(G: FiniteGroup, polys) -> CentralVector:
+    return CentralVector(G, tuple(p[0] if len(p) % 2 else -p[0] for p in polys))
 
 
 def adjoint_and_norm(H: GroupRingMatrix):
     """(H*, Nrd(H)) computed together from one set of matrix powers.
 
-    H* acts as the adjoint: H H* = H* H = Nrd(H) I, where the central
+    H* = sum_j H^(j-1) c_j with each rational central c_j recomposed once;
+    it acts as the adjoint: H H* = H* H = Nrd(H) I, where the central
     element Nrd(H) is recomposed into the group ring.
     """
     if H.nrows != H.ncols:
         raise ValueError("square matrix required")
     G = H.group
-    table = G.character_table()
     polys = reduced_char_poly(H)
-    idems = central_idempotents(G)
-    max_pow = max(len(p) - 2 for p in polys)  # need H^0 .. H^(deg-1)
-    powers = [GroupRingMatrix.identity(G, H.nrows)]
-    for _ in range(max_pow):
-        powers.append(powers[-1] * H)
-    total = None
-    nrd_values = []
-    for chi, poly, e in zip(table, polys, idems):
-        deg = len(poly) - 1
-        sign = Fraction(1) if deg % 2 == 1 else Fraction(-1)  # (-1)^(deg+1)
-        nrd_values.append(poly[0] if deg % 2 == 0 else -poly[0])
-        comp = None
-        for j in range(1, deg + 1):
-            term = powers[j - 1].scale_element(e.scale(sign * poly[j]))
-            comp = term if comp is None else comp + term
-        total = comp if total is None else total + comp
-    return total, CentralVector(G, tuple(nrd_values))
+    zero = CycloNumber.zero()
+    power = GroupRingMatrix.identity(G, H.nrows)
+    Hstar = None
+    for j in range(1, max(len(p) for p in polys)):
+        if j > 1:
+            power = power * H
+        # (-1)^(deg+1) alpha_j with deg = len(p) - 1
+        c = central_recompose(CentralVector(G, tuple(
+            zero if j >= len(p) else p[j] if len(p) % 2 == 0 else -p[j]
+            for p in polys)))
+        term = power.scale_element(c)
+        Hstar = term if Hstar is None else Hstar + term
+    return Hstar, _norm(G, polys)
 
 
 def commutative_ideal_lattice(G: FiniteGroup, generators, p: int, prec: int):
@@ -358,9 +368,6 @@ def commutative_ideal_lattice(G: FiniteGroup, generators, p: int, prec: int):
     for x in generators:
         ints = []
         for c in x.coeffs:
-            if hasattr(c, "to_fraction"):
-                c = c.to_fraction()
-            c = Fraction(c)
             den = c.denominator
             if den % p == 0:
                 raise ValueError("coefficient has a p-denominator")

@@ -4,7 +4,8 @@ equation.
 Exact route: L(1-r, chi) = -B_{r,chi}/r through generalized Bernoulli
 numbers, a cyclotomic number in Q(chi).  With chi(a) = zeta_L^k(a), the
 rational terms are summed per exponent k and the Euler factors act on that
-vector, so each exact value is reduced to its minimal conductor once.
+vector, on integer numerators over one denominator, so each exact value is
+reduced to its minimal conductor once.
 Numeric route: Hurwitz zeta at a stated bit precision, the vector
 (zeta(s, a/f))_{a=1..f} evaluated once per modulus, point and precision and
 shared by every character mod f.  S-truncated values multiply in the Euler
@@ -37,7 +38,7 @@ from .numeric import DEFAULT_BITS, detect_rational, embed_complex
 
 __all__ = [
     "bernoulli_number",
-    "bernoulli_row",
+    "bernoulli_numerators",
     "gen_bernoulli",
     "l_value_exact",
     "l_value_numeric",
@@ -72,8 +73,9 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def bernoulli_row(f: int, r: int) -> tuple[Fraction, ...]:
-    """(f^(r-1) B_r(a/f))_{a=1..f}, shared by every character mod f.
+def bernoulli_numerators(f: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """(den, nums) with f^(r-1) B_r(a/f) = nums[a-1] / den for a = 1..f,
+    shared by every character mod f.
 
     f^(r-1) B_r(a/f) = sum_k C(r, k) B_k f^(k-1) a^(r-k), evaluated as an
     integer polynomial in a over one common denominator."""
@@ -86,33 +88,36 @@ def bernoulli_row(f: int, r: int) -> tuple[Fraction, ...]:
         acc = 0
         for c in ints:  # Horner, highest power of a first
             acc = acc * a + c
-        row.append(Fraction(acc, den))
-    return tuple(row)
+        row.append(acc)
+    return den, tuple(row)
 
 
 def _bernoulli_vector(chi: DirichletChar, r: int):
-    """(L, v) with B_{r,chi} = sum_k v[k] zeta_L^k: the terms
-    f^(r-1) B_r(a/f) summed by the exponent k(a) of chi(a) = zeta_L^k(a)."""
+    """(L, v, den) with B_{r,chi} = sum_k (v[k] / den) zeta_L^k: the terms
+    f^(r-1) B_r(a/f) summed by the exponent k(a) of chi(a) = zeta_L^k(a),
+    on integer numerators."""
     if r < 1:
         raise ValueError("r must be >= 1")
     L, ks = chi.root_exponents()
-    v = [Fraction(0)] * L
-    for a, b in enumerate(bernoulli_row(chi.modulus, r), 1):
+    den, row = bernoulli_numerators(chi.modulus, r)
+    v = [0] * L
+    for a, b in enumerate(row, 1):
         k = ks[a % chi.modulus]
         if k is not None:
             v[k] += b
-    return L, v
+    return L, v, den
 
 
-def _from_root_vector(L: int, v) -> CycloNumber:
-    """sum_k v[k] zeta_L^k as one normalized CycloNumber."""
-    coeffs = [Fraction(0)] * euler_phi(L)
+def _from_root_vector(L: int, v, den: int = 1) -> CycloNumber:
+    """sum_k (v[k] / den) zeta_L^k, v integers, as one normalized
+    CycloNumber."""
+    coeffs = [0] * euler_phi(L)
     for x, row in zip(v, _power_table(L)):
         if x:
             for j, rj in enumerate(row):
                 if rj:
                     coeffs[j] += x * rj
-    return CycloNumber(L, coeffs)
+    return CycloNumber(L, [Fraction(x, den) for x in coeffs])
 
 
 def gen_bernoulli(chi: DirichletChar, r: int) -> CycloNumber:
@@ -131,8 +136,8 @@ def l_value_exact(chi: DirichletChar, s: int, S=()) -> CycloNumber:
         raise ValueError("exact values only at s <= 0")
     r = 1 - s
     f = chi.modulus
-    L, v = _bernoulli_vector(chi, r)
-    v = [-x / r for x in v]
+    L, v, den = _bernoulli_vector(chi, r)
+    v = [-x for x in v]
     _, ks = chi.root_exponents()
     for p in sorted(set(S)):
         k = ks[p % f]
@@ -141,7 +146,7 @@ def l_value_exact(chi: DirichletChar, s: int, S=()) -> CycloNumber:
         # times (1 - p^(r-1) zeta_L^k) in Q[x]/(x^L - 1)
         c = p ** (r - 1)
         v = [x - c * v[(j - k) % L] for j, x in enumerate(v)]
-    return _from_root_vector(L, v)
+    return _from_root_vector(L, v, den * r)
 
 
 # typed: an mpf and an mpc of equal value stay separate keys, since mpmath

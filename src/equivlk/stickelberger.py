@@ -14,10 +14,11 @@ Q(zeta_f).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .arith import factorize, is_prime, is_prime_power
 from .dirichlet import MAX_MODULUS
-from .lseries import bernoulli_row
+from .lseries import bernoulli_numerators
 from .snf import smith_normal_form
 
 __all__ = [
@@ -47,18 +48,24 @@ def stickelberger_element(f: int, r: int, S=()):
     Invariant: for every chi mod f the chi-component sum_a c_a chi(a)
     equals L_S(1-r, chi-bar).
     """
+    den, nums = _theta_numerators(f, r, S)
+    return {a: Fraction(x, den) for a, x in nums.items()}
+
+
+def _theta_numerators(f: int, r: int, S=()):
+    """(den, {a: num}) with theta_S(1-r) = {a: num / den}, on integers."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if not 1 <= f <= MAX_MODULUS:
         raise ValueError(f"modulus {f} outside 1..{MAX_MODULUS}")
-    row = bernoulli_row(f, r)
-    theta = {a: -row[(pow(a, -1, f) or f) - 1] / r for a in _units(f)}
+    den, row = bernoulli_numerators(f, r)
+    nums = {a: -row[(pow(a, -1, f) or f) - 1] for a in _units(f)}
     for v in sorted(set(S)):
         if f % v == 0 or math.gcd(v, f) != 1:
             continue  # Euler factor already missing, or sigma_v undefined
         c = v ** (r - 1)
-        theta = {a: x - c * theta[a * v % f or f] for a, x in theta.items()}
-    return theta
+        nums = {a: x - c * nums[a * v % f or f] for a, x in nums.items()}
+    return den * r, nums
 
 
 def sigma_action(theta, c: int, f: int):
@@ -70,7 +77,8 @@ def sigma_action(theta, c: int, f: int):
 
 
 def smoothed_element(theta, c: int, r: int, f: int):
-    """(c^r - sigma_c) theta."""
+    """(c^r - sigma_c) theta; the values of theta may be Fractions or
+    integer numerators over a common denominator."""
     shifted = sigma_action(theta, c, f)
     return {a: c ** r * theta[a] - shifted[a] for a in theta}
 
@@ -116,16 +124,18 @@ def integrality_check(f: int, r: int, S=(), cs=None, count: int = 5):
     """For each c, is (c^r - sigma_c) theta_S(1-r) in Z[G]?
 
     Returns (theta, [(c, ok, element)]) with elements as {a: Fraction}.
+    The smoothing acts on the integer numerators of theta, so an element is
+    integral iff the common denominator divides each of its numerators.
     """
-    theta = stickelberger_element(f, r, S)
+    den, nums = _theta_numerators(f, r, S)
     if cs is None:
         cs = valid_smoothing_c(f, r, S, count=count)
     results = []
     for c in cs:
-        el = smoothed_element(theta, c, r, f)
-        ok = all(v.denominator == 1 for v in el.values())
-        results.append((c, ok, el))
-    return theta, results
+        el = smoothed_element(nums, c, r, f)
+        ok = all(x % den == 0 for x in el.values())
+        results.append((c, ok, {a: Fraction(x, den) for a, x in el.items()}))
+    return {a: Fraction(x, den) for a, x in nums.items()}, results
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +148,8 @@ def kgroup_finite_field(q: int, d: int, r: int):
 
     Presented as Z^d / A Z^d with A = C - q^r I for the cyclic shift C, on
     which x acts as C; returns the abelian invariant factors (the group is
-    cyclic of order q^(rd) - 1), the Frobenius action and, under "smith",
-    (U, diagonal of D) for the Smith form U A V = D.
+    cyclic of order q^(rd) - 1) and, under "smith", (U, diagonal of D) for
+    the Smith form U A V = D.
     """
     if not is_prime_power(q):
         raise ValueError(f"{q} is not a prime power")
@@ -151,7 +161,7 @@ def kgroup_finite_field(q: int, d: int, r: int):
     if math.prod(inv) != order:
         raise RuntimeError("module order mismatch")
     return {"q": q, "d": d, "r": r, "order": order,
-            "invariant_factors": inv, "frobenius_acts_as": q ** r % order,
+            "invariant_factors": inv,
             "smith": (U, [D[i][i] for i in range(d)])}
 
 

@@ -128,6 +128,19 @@ def test_group_campaigns_default_to_s3(subcommand, tmp_path):
     assert json.loads(out.read_text())["config"] == {"group": "S3"}
 
 
+@pytest.mark.parametrize("subcommand", ["char-table", "nrd", "fitt"])
+def test_unknown_group_is_a_failed_record(subcommand, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "Nope"}))
+    out = tmp_path / "report.json"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert [r["id"] for r in report["checks"]] == [f"{subcommand}/group-Nope"]
+    assert report["checks"][0]["witness"] == {
+        "error": "unknown group name 'NOPE'", "type": "ValueError"}
+    assert report["summary"] == {"total": 1, "pass": 0, "fail": 1, "info": 0}
+
+
 def test_annihilate_bad_case_is_a_failed_record(tmp_path):
     # p = 3 divides |S3'| = 3: that case fails, the good case still runs
     cfg = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,105 @@ def test_galois_and_conjugate():
     assert z.conjugate() == zeta(7, 6)
     x = zeta(7) + zeta(7, 6)
     assert x.conjugate() == x  # real
+
+
+def test_cancelling_sums_keep_fraction_coefficients():
+    for x in [zeta(3) - zeta(3), zeta(12) * 2 - zeta(12) - zeta(12),
+              zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4) + 1]:
+        assert x.is_zero and x.is_rational
+        assert all(type(c) is Fraction for c in x.coeffs)
+
+
+def fraction_table(n):
+    return [[Fraction(x) for x in row] for row in _power_table(n)]
+
+
+def lift_by_fractions(n, coeffs, m):
+    """Oracle: coordinates on the conductor-m basis, summed over Fractions."""
+    table = fraction_table(m)
+    out = [Fraction(0)] * euler_phi(m)
+    for k, c in enumerate(coeffs):
+        for j, rj in enumerate(table[k * (m // n) % m]):
+            out[j] += c * rj
+    return out
+
+
+def reduce_by_fractions(n, coeffs):
+    """Oracle: conductor reduction by a row reduction over Fractions, the
+    route taken before it ran on integer numerators."""
+    while n > 1:
+        for p in [p for p in range(2, n + 1) if n % p == 0
+                  and all(p % q for q in range(2, p))]:
+            d = n // p
+            table = fraction_table(n)
+            M = [[table[j * p][i] for j in range(euler_phi(d))]
+                 for i in range(euler_phi(n))]
+            # solve M y = v for y, or find that v is not in the column span
+            rows = [M[i] + [coeffs[i]] for i in range(len(M))]
+            pivots, r = [], 0
+            for col in range(euler_phi(d)):
+                piv = next(i for i in range(r, len(rows)) if rows[i][col])
+                rows[r], rows[piv] = rows[piv], rows[r]
+                rows[r] = [x / rows[r][col] for x in rows[r]]
+                for i in range(len(rows)):
+                    if i != r and rows[i][col]:
+                        rows[i] = [a - rows[i][col] * b
+                                   for a, b in zip(rows[i], rows[r])]
+                pivots.append(col)
+                r += 1
+            if all(row[-1] == 0 for row in rows[r:]):
+                n, coeffs = d, [rows[i][-1] for i in range(r)]
+                break
+        else:
+            break
+    return n, tuple(coeffs)
+
+
+def random_element(rng, n):
+    """Coordinates on the conductor-n basis of a random element of a random
+    subfield Q(zeta_d), d | n, so that normalisation has to descend."""
+    d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+              for _ in range(euler_phi(d))]
+    return lift_by_fractions(d, coeffs, n)
+
+
+def test_integer_normalization_matches_fraction_reduction():
+    rng = random.Random(7)
+    for n in range(2, 49):
+        for _ in range(4):
+            v = random_element(rng, n)
+            x = CycloNumber(n, v)
+            assert (x.n, x.coeffs) == reduce_by_fractions(n, v), (n, v)
+            assert all(type(c) is Fraction for c in x.coeffs)
+
+
+def test_products_lifts_and_galois_match_fraction_loops():
+    rng = random.Random(11)
+    for n in [5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30]:
+        for _ in range(3):
+            a = CycloNumber(n, random_element(rng, n))
+            b = CycloNumber(n, random_element(rng, n))
+            m = math.lcm(a.n, b.n)
+            la = lift_by_fractions(a.n, a.coeffs, m)
+            lb = lift_by_fractions(b.n, b.coeffs, m)
+            assert a.lift(m) == tuple(la)
+            phi = euler_phi(m)
+            prod = [Fraction(0)] * phi
+            table = fraction_table(m)
+            for i, x in enumerate(la):
+                for j, y in enumerate(lb):
+                    for k, t in enumerate(table[i + j]):
+                        prod[k] += x * y * t
+            ab = a * b
+            assert (ab.n, ab.coeffs) == reduce_by_fractions(m, prod)
+            for t in [t for t in range(1, a.n + 1) if math.gcd(t, a.n) == 1]:
+                image = [Fraction(0)] * euler_phi(a.n)
+                for k, c in enumerate(a.coeffs):
+                    for j, rj in enumerate(fraction_table(a.n)[k * t % a.n]):
+                        image[j] += c * rj
+                g = a.galois(t)
+                assert (g.n, g.coeffs) == reduce_by_fractions(a.n, image), (n, t)
 
 
 def test_rational_normalization():

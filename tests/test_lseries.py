@@ -8,7 +8,7 @@ from equivlk.cyclo import CycloNumber
 from equivlk.dirichlet import DirichletChar, enumerate_characters
 from equivlk.lseries import (_character_sum, _hurwitz_vector,
                              _l_derivative, archimedean_leading,
-                             bernoulli_number, bernoulli_row, completed_lambda, fe_residual,
+                             bernoulli_number, bernoulli_numerators, completed_lambda, fe_residual,
                              gauss_sum, gen_bernoulli,
                              gross_equivariance_check, l_value_exact,
                              l_value_numeric, l_value_via_fe,
@@ -45,7 +45,8 @@ def test_bernoulli_polynomial():
 def test_bernoulli_row_matches_polynomial():
     for f in range(1, 41):
         for r in range(1, 9):
-            assert bernoulli_row(f, r) == tuple(
+            den, nums = bernoulli_numerators(f, r)
+            assert tuple(Fraction(x, den) for x in nums) == tuple(
                 f ** (r - 1) * bernoulli_polynomial(r, Fraction(a, f))
                 for a in range(1, f + 1)), (f, r)
 

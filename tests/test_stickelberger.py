@@ -84,6 +84,27 @@ def test_integrality_grid():
             assert all(ok for _, ok, _ in results), (f, r)
 
 
+def test_integer_smoothing_matches_fraction_smoothing():
+    # oracle: (c^r - sigma_c) theta on the Fraction coefficients of theta,
+    # integral iff every denominator is 1; c = 2, 3 are invalid smoothings
+    # for many f, and sigma_c needs c prime to f
+    failures = 0
+    for f in range(1, 31):
+        cs = [c for c in [2, 3, 5, 7, 11] if math.gcd(c, f) == 1]
+        for r in [1, 2, 3, 4]:
+            for S in [(), (2,), (31, 43)]:
+                theta, results = integrality_check(f, r, S, cs=cs)
+                expected = stickelberger_element(f, r, S)
+                assert theta == expected, (f, r, S)
+                for c, (c_got, ok, el) in zip(cs, results):
+                    want = smoothed_element(expected, c, r, f)
+                    assert (c_got, ok, el) == (
+                        c, all(v.denominator == 1 for v in want.values()), want)
+                    assert all(type(v) is Fraction for v in el.values())
+                    failures += not ok
+    assert failures > 0
+
+
 def test_invalid_c_can_fail():
     # c = 2 is not a valid smoothing for f = 3 (even, and 2 | w_1)
     theta = stickelberger_element(3, 1, S=(3,))
