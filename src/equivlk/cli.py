@@ -190,8 +190,11 @@ def run_adjoint_verify(config, seed, bits):
     n_max = config.get("n_max", 3)
     trials = config.get("trials", 200)
     rng = random.Random(seed)
-    groups = [(g, _group_of(g)) for g in group_names]
-    for i in range(trials):
+    # a group that cannot be built is a failed record; only the good groups
+    # are sampled
+    groups = [(_group_label(g), G) for g in group_names
+              if (G := _campaign_group(checks, "adjoint", g)) is not None]
+    for i in range(trials if groups else 0):
         label, G = groups[rng.randrange(len(groups))]
         n = rng.randint(1, n_max)
         data = _rand_matrix_data(rng, n, n, G.order)
@@ -246,8 +249,9 @@ def _run_fitt_abelian(config, seed):
     p = config.get("p", 3)
     prec = config.get("prec", 12)
     rng = random.Random(seed)
-    groups = [(str(inv), group_from_json({"abelian": inv})) for inv in invariant_lists]
-    for i in range(trials):
+    groups = [(str(inv), G) for inv in invariant_lists
+              if (G := _campaign_group(checks, "fitt-abelian", {"abelian": inv})) is not None]
+    for i in range(trials if groups else 0):
         label, G = groups[rng.randrange(len(groups))]
         b = rng.randint(1, 2)
         data = _rand_matrix_data(rng, b, b, G.order)
@@ -337,10 +341,10 @@ def run_denominator_probe(config, seed, bits):
     ])
     rng = random.Random(seed)
 
+    # each group is built inside its check, so a bad one is a failed record
     for name, p in integral_cases:
-        G = _group_of(name)
-
-        def check(G=G, name=name, p=p):
+        def check(name=name, p=p):
+            G = _group_of(name)
             if not fitting.denominator_trivial(G, p):
                 return "fail", {"error": "expected p prime to |G'|"}
             for t in range(trials):
@@ -356,9 +360,8 @@ def run_denominator_probe(config, seed, bits):
                      {"group": name, "p": p, "trials": trials}, check)
 
     for name, p in witness_cases:
-        G = _group_of(name)
-
-        def check(G=G, name=name, p=p):
+        def check(name=name, p=p):
+            G = _group_of(name)
             if fitting.denominator_trivial(G, p):
                 return "fail", {"error": "expected p to divide |G'|"}
             for t in range(witness_trials):
@@ -375,10 +378,8 @@ def run_denominator_probe(config, seed, bits):
                      {"group": name, "p": p, "trials": witness_trials}, check)
 
     for k, fx in enumerate(fixtures):
-        G = _group_of(fx["group"])
-
-        def check(G=G, fx=fx):
-            H = GroupRingMatrix.from_rational_entries(G, fx["data"])
+        def check(fx=fx):
+            H = GroupRingMatrix.from_rational_entries(_group_of(fx["group"]), fx["data"])
             v = fitting.adjoint_integrality_probe(H, fx["p"])
             ok = v < 0
             return ("pass" if ok else "fail"), {"min_valuation": v, "H": fx["data"]}

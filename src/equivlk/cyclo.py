@@ -372,10 +372,6 @@ class CycloNumber:
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [str(c) for c in self.coeffs]}
 
-    @staticmethod
-    def from_json(data: dict) -> "CycloNumber":
-        return CycloNumber(data["n"], [Fraction(s) for s in data["coeffs"]])
-
     def __repr__(self):
         if self.n == 1:
             return f"CycloNumber({self.coeffs[0]})"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .arith import pval
@@ -57,11 +56,12 @@ class Presentation:
 
 @dataclass(frozen=True)
 class FittClass:
-    """Fitting invariant, kept as exact Wedderburn components of its
-    reduced-norm generators.  is_zero marks the a < b case."""
+    """Fitting invariant, kept as its reduced-norm generators, rational
+    central elements whose Wedderburn components to_json prints.  is_zero
+    marks the a < b case."""
 
     group: FiniteGroup
-    generators: tuple  # CentralVector per chosen row subset
+    generators: tuple  # CentralElement per chosen row subset
     is_zero: bool
 
     def recomposed_generators(self) -> list[GroupRingElement]:
@@ -93,13 +93,9 @@ def fitting_invariant(pres: Presentation, minor_cap: int = MINOR_CAP) -> FittCla
 
 
 def _int_coeffs(x: GroupRingElement):
-    out = []
-    for c in x.coeffs:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise ValueError("integral coefficients required")
-        out.append(c.numerator)
-    return out
+    if x.den != 1:
+        raise ValueError("integral coefficients required")
+    return x.nums
 
 
 def expand_relations(pres: Presentation):

@@ -1,24 +1,32 @@
-"""Group rings R[G], matrices over them, and reduced norms.
+"""Group rings Q[G], matrices over them, reduced norms and adjoints.
 
-Group-ring arithmetic is duck-typed in its coefficients (Fraction and
-CycloNumber both work).  The Wedderburn data of a matrix over Q[G] (reduced
-characteristic polynomials, reduced norms, generalized adjoints) comes from
-the explicit irreducible representations of the group, over exact
-cyclotomic coefficients.
+A GroupRingElement sum_g c_g g is stored as one integer numerator per group
+element over one positive denominator, reduced by their gcd once per
+operation.  A CentralElement of the centre Z(Q[G]) is stored the same way
+on the class sums C_i, and central products use the integer structure
+constants of the class algebra (FiniteGroup.class_constants).
 
-For an n x n matrix H over Q[G] and an irreducible character chi of degree
-n_chi, the chi-component of the reduced characteristic polynomial is the
-characteristic polynomial sum_j alpha_{chi,j} x^j of rho_chi(H), an
-(n*n_chi) x (n*n_chi) matrix over Q(zeta_e).  The reduced norm is its
-constant term up to sign, and the generalized adjoint
+Reduced norms and generalized adjoints need no representation.  For an
+n x n matrix H over Q[G] and an irreducible character chi of degree n_chi,
+the eigenvalues of rho_chi(H), a d_chi x d_chi matrix with d_chi =
+n * n_chi, have power sums chi(tr H^k).  As central elements these are
 
-    H* = sum_{j>=1} H^(j-1) c_j,  c_j = sum_chi (-1)^(n*n_chi + 1) alpha_{chi,j} e_chi
+    P_k = N * avg(tr H^k),   N = sum_chi n_chi e_chi,
 
-(alpha_{chi,j} = 0 for j > n*n_chi) satisfies H H* = H* H = Nrd(H) * I.
-Galois-conjugate characters have conjugate polynomials, so each c_j is a
-rational central element: it is built once, one class sum per conjugacy
-class (central_recompose), and H* is assembled from the rational c_j with
-group-ring products over Q only.
+with avg the class average (the projection onto the centre).  Newton's
+identities k E_k = sum_{i=1..k} (-1)^(i-1) E_{k-i} P_i, E_0 = 1, give the
+elementary symmetric functions E_k of the eigenvalues on every component
+at once; E_k vanishes on the components with d_chi < k.  With f_m the sum
+of the e_chi of degree m, a rational idempotent,
+
+    Nrd(H) = sum_m f_m E_{nm},
+    c_j = (-1)^(j+1) sum_m f_m E_{nm-j}   (E_i = 0 for i < 0),
+    H* = sum_{j>=1} H^(j-1) c_j,
+
+and H H* = H* H = Nrd(H) * I by Cayley-Hamilton on each component
+(Reiner, Maximal Orders, section 9; Johnston-Nickel, J. LMS 2013).  The
+Wedderburn components chi(z)/n_chi of a central element z, which reports
+print, are computed only on request.
 """
 
 from __future__ import annotations
@@ -26,112 +34,112 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .cyclo import CycloNumber, euler_phi
-from .groups import Character, FiniteGroup
+from .groups import FiniteGroup
 
 __all__ = [
     "GroupRingElement",
     "GroupRingMatrix",
-    "CentralVector",
+    "CentralElement",
     "central_recompose",
-    "apply_irrep",
-    "charpoly_exact",
-    "reduced_char_poly",
     "reduced_norm",
     "adjoint_and_norm",
+    "commutative_ideal_lattice",
 ]
 
 
-class GroupRingElement:
-    """Element sum_g coeffs[g] * g of R[G]; coeffs indexed by element."""
+def _rational(c):
+    return c if type(c) is int else Fraction(c)
 
-    __slots__ = ("group", "coeffs")
 
-    def __init__(self, group: FiniteGroup, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != group.order:
-            raise ValueError("coefficient list has wrong length")
-        self.group = group
-        self.coeffs = coeffs
+class _RationalVector:
+    """A rational vector nums / den of a group's algebra, over one positive
+    denominator with gcd(den, nums) = 1, so equal vectors have equal fields."""
 
-    @staticmethod
-    def from_rational_coeffs(group: FiniteGroup, coeffs) -> "GroupRingElement":
-        return GroupRingElement(group, [Fraction(c) for c in coeffs])
+    __slots__ = ("group", "nums", "den")
 
-    @staticmethod
-    def delta(group: FiniteGroup, g: int, scalar=Fraction(1)) -> "GroupRingElement":
-        coeffs = [scalar * 0] * group.order
-        coeffs[g] = scalar
-        return GroupRingElement(group, coeffs)
+    @classmethod
+    def _make(cls, group: FiniteGroup, nums, den: int):
+        g = math.gcd(den, *nums)
+        x = object.__new__(cls)
+        x.group = group
+        x.nums = tuple(nums) if g == 1 else tuple(a // g for a in nums)
+        x.den = den // g
+        return x
 
-    def _check(self, other):
+    def _combine(self, other, sign: int):
         if self.group is not other.group:
             raise ValueError("elements live in different group rings")
+        a, b = self.den, other.den
+        den = a // math.gcd(a, b) * b
+        fa, fb = den // a, sign * (den // b)
+        return self._make(self.group, [x * fa + y * fb for x, y in zip(self.nums, other.nums)],
+                          den)
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check(other)
-        return GroupRingElement(self.group, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+    def __add__(self, other):
+        return self._combine(other, 1)
 
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.group, [-a for a in self.coeffs])
+    def __sub__(self, other):
+        return self._combine(other, -1)
 
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
+    def __neg__(self):
+        return self._make(self.group, [-a for a in self.nums], self.den)
 
-    def __mul__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return self.scale(other)
-        self._check(other)
-        G = self.group
-        out = [None] * G.order
-        for g, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for h, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = G.mul[g][h]
-                t = a * b
-                out[k] = t if out[k] is None else out[k] + t
-        zero = self.coeffs[0] * 0
-        return GroupRingElement(G, [zero if c is None else c for c in out])
-
-    def __rmul__(self, other):
-        # scalars are assumed central in the coefficient ring
-        return self.scale(other)
-
-    def scale(self, scalar) -> "GroupRingElement":
-        return GroupRingElement(self.group, [scalar * c for c in self.coeffs])
+    def scale(self, scalar):
+        q = _rational(scalar)
+        return self._make(self.group, [q.numerator * a for a in self.nums],
+                          q.denominator * self.den)
 
     def __eq__(self, other):
-        if not isinstance(other, GroupRingElement):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.group is other.group and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+        return (self.group is other.group and self.den == other.den
+                and self.nums == other.nums)
 
-    def __hash__(self):
-        return hash((id(self.group), self.coeffs))
+    __hash__ = None
+
+
+class GroupRingElement(_RationalVector):
+    """Element sum_g (nums[g] / den) g of Q[G]."""
+
+    __slots__ = ()
+
+    def __init__(self, group: FiniteGroup, coeffs):
+        qs = [_rational(c) for c in coeffs]
+        if len(qs) != group.order:
+            raise ValueError("coefficient list has wrong length")
+        # over the least common denominator of reduced fractions, the
+        # numerators share no factor with it
+        den = math.lcm(*(q.denominator for q in qs))
+        self.group = group
+        self.nums = tuple(q.numerator * (den // q.denominator) for q in qs)
+        self.den = den
+
+    @staticmethod
+    def delta(group: FiniteGroup, g: int) -> "GroupRingElement":
+        return GroupRingElement(group, [int(h == g) for h in range(group.order)])
 
     @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
-    def map_coeffs(self, f) -> "GroupRingElement":
-        return GroupRingElement(self.group, [f(c) for c in self.coeffs])
-
-    def to_json(self) -> dict:
-        return {"coeffs": [_coeff_json(c) for c in self.coeffs]}
+    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
+        if self.group is not other.group:
+            raise ValueError("elements live in different group rings")
+        G = self.group
+        y = other.nums
+        out = [0] * G.order
+        for g, a in enumerate(self.nums):
+            if a:
+                # coefficient of k in (a g) * y is a * y[g^-1 k]
+                out = [o + a * y[h] for o, h in zip(out, G.mul[G.inv[g]])]
+        return GroupRingElement._make(G, out, self.den * other.den)
 
     def __repr__(self):
-        terms = [f"({c})*g{g}" for g, c in enumerate(self.coeffs) if c != 0]
+        terms = [f"({c})*g{g}" for g, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
-
-
-def _coeff_json(c):
-    if hasattr(c, "to_json"):
-        return c.to_json()
-    return str(Fraction(c))
 
 
 class GroupRingMatrix:
@@ -154,43 +162,26 @@ class GroupRingMatrix:
     @staticmethod
     def identity(group: FiniteGroup, n: int) -> "GroupRingMatrix":
         one = GroupRingElement.delta(group, group.id)
-        zero = GroupRingElement.from_rational_coeffs(group, [0] * group.order)
+        zero = GroupRingElement(group, [0] * group.order)
         return GroupRingMatrix(group, [[one if i == j else zero for j in range(n)]
                                        for i in range(n)])
 
     @staticmethod
     def from_rational_entries(group: FiniteGroup, data) -> "GroupRingMatrix":
         """data[i][j] is a coefficient list of length |G|."""
-        return GroupRingMatrix(group, [[GroupRingElement.from_rational_coeffs(group, e)
-                                        for e in row] for row in data])
+        return GroupRingMatrix(group, [[GroupRingElement(group, e) for e in row]
+                                       for row in data])
 
     def __add__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         return GroupRingMatrix(self.group, [[a + b for a, b in zip(r1, r2)]
                                             for r1, r2 in zip(self.entries, other.entries)])
 
-    def __sub__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        return GroupRingMatrix(self.group, [[a - b for a, b in zip(r1, r2)]
-                                            for r1, r2 in zip(self.entries, other.entries)])
-
-    def __mul__(self, other):
-        if isinstance(other, GroupRingMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("dimension mismatch")
-            rows = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
-                    acc = self.entries[i][0] * other.entries[0][j]
-                    for t in range(1, self.ncols):
-                        acc = acc + self.entries[i][t] * other.entries[t][j]
-                    row.append(acc)
-                rows.append(row)
-            return GroupRingMatrix(self.group, rows)
-        if isinstance(other, GroupRingElement):
-            return GroupRingMatrix(self.group,
-                                   [[e * other for e in row] for row in self.entries])
-        return GroupRingMatrix(self.group,
-                               [[e.scale(other) for e in row] for row in self.entries])
+    def __mul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
+        if self.ncols != other.nrows:
+            raise ValueError("dimension mismatch")
+        cols = list(zip(*other.entries))
+        return GroupRingMatrix(self.group, [[_dot(row, col) for col in cols]
+                                            for row in self.entries])
 
     def scale_element(self, x: GroupRingElement) -> "GroupRingMatrix":
         """Right-multiply every entry by x (used with central x)."""
@@ -201,157 +192,192 @@ class GroupRingMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self):
-        return hash(self.entries)
-
-    def to_json(self) -> dict:
-        return {"rows": [[e.to_json() for e in row] for row in self.entries]}
+    __hash__ = None
 
 
-@dataclass(frozen=True)
-class CentralVector:
-    """One scalar per irreducible character: the image of a central element
-    under the Wedderburn isomorphism zeta(C[G]) = prod_chi C."""
+def _sum(xs):
+    xs = iter(xs)
+    acc = next(xs)
+    for x in xs:
+        acc = acc + x
+    return acc
 
-    group: FiniteGroup
-    values: tuple  # CycloNumber per character, char-table order
 
-    def __add__(self, other: "CentralVector") -> "CentralVector":
-        return CentralVector(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
+def _dot(xs, ys) -> GroupRingElement:
+    return _sum(x * y for x, y in zip(xs, ys))
 
-    def __sub__(self, other: "CentralVector") -> "CentralVector":
-        return CentralVector(self.group, tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def __mul__(self, other: "CentralVector") -> "CentralVector":
-        return CentralVector(self.group, tuple(a * b for a, b in zip(self.values, other.values)))
+# ---------------------------------------------------------------------------
+# the centre of Q[G] on the class sums
+
+
+class CentralElement(_RationalVector):
+    """Rational central element sum_i (nums[i] / den) C_i of Q[G], C_i the
+    class sums in conjugacy_classes order."""
+
+    __slots__ = ()
+
+    def __mul__(self, other: "CentralElement") -> "CentralElement":
+        """Product through the class constants: C_i C_j = sum_k a_ijk C_k."""
+        x, y = self.nums, other.nums
+        out = [0] * len(x)
+        for i, j, k, a in _centre(self.group).constants:
+            out[k] += a * x[i] * y[j]
+        return CentralElement._make(self.group, out, self.den * other.den)
+
+    @property
+    def values(self) -> tuple[CycloNumber, ...]:
+        """The Wedderburn components chi(z)/n_chi, in character-table order.
+
+        chi(z) = sum_i z_i |C_i| chi(C_i) is summed on integer coordinates
+        over Q(zeta_e), e the exponent, and normalised once per character."""
+        centre = _centre(self.group)
+        weights = [a * s for a, s in zip(self.nums, centre.sizes)]
+        out = []
+        for degree, lifted in zip(centre.degrees, centre.lifted):
+            acc = [0] * centre.phi
+            for w, v in zip(weights, lifted):
+                if w:
+                    acc = [c + w * x for c, x in zip(acc, v)]
+            den = self.den * degree
+            out.append(CycloNumber(centre.exponent, [Fraction(c, den) for c in acc]))
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {"components": [v.to_json() for v in self.values]}
 
 
-def central_recompose(v: CentralVector) -> GroupRingElement:
-    """The central element sum_chi v_chi e_chi of Q[G].
+@dataclass(frozen=True)
+class _Centre:
+    """Per-group data of the centre, built once per group."""
 
-    Its coefficient on g is (1/|G|) sum_chi n_chi v_chi chi(g^-1), a class
-    function, so it is summed over the characters once per conjugacy class.
-    Every caller recomposes a Galois-stable vector (a reduced norm, a c_j of
-    the adjoint, a Fitting generator), whose class sums are rational; a sum
-    that is not raises RuntimeError."""
-    G = v.group
-    table = G.character_table()
+    constants: tuple  # (i, j, k, a_ijk) for the nonzero class constants
+    sizes: tuple  # class sizes
+    lcm_size: int
+    degrees: tuple  # character degrees, character-table order
+    exponent: int
+    phi: int
+    lifted: tuple  # per character, per class: chi(C_i) on the zeta_e power basis
+    one: CentralElement
+    N: CentralElement  # sum_chi n_chi e_chi
+    f: dict  # degree m -> sum of the e_chi of degree m
+
+
+@cache  # one entry per group a process builds; campaigns build a handful
+def _centre(G: FiniteGroup) -> _Centre:
     classes, class_of = G.conjugacy_classes()
-    weights = [s * Fraction(chi.degree, G.order) for chi, s in zip(table, v.values)]
-    sums = []
-    for cls in classes:
-        k = class_of[G.inv[cls[0]]]
-        total = sum((w * chi.values[k] for w, chi in zip(weights, table)),
-                    CycloNumber.zero())
-        if not total.is_rational:
-            raise RuntimeError("central element is not rational")
-        sums.append(total.to_fraction())
-    return GroupRingElement(G, [sums[class_of[g]] for g in range(G.order)])
+    table = G.character_table()
+    e = G.exponent
+    # character values are algebraic integers: integer power-basis coordinates
+    lifted = tuple(tuple(tuple(int(c) for c in v.lift(e)) for v in chi.values)
+                   for chi in table)
+    inverse = [class_of[G.inv[cls[0]]] for cls in classes]
+    phi = euler_phi(e)
+
+    def idempotent_sum(weights) -> CentralElement:
+        """sum_chi w_chi e_chi; its coefficient on C_i is
+        (1/|G|) sum_chi w_chi n_chi chi(g_i^-1), rational for the
+        Galois-stable weights used here."""
+        nums = []
+        for i in inverse:
+            acc = [0] * phi
+            for w, chi, values in zip(weights, table, lifted):
+                if w:
+                    acc = [c + w * chi.degree * x for c, x in zip(acc, values[i])]
+            if any(acc[1:]):
+                raise RuntimeError("central element is not rational")
+            nums.append(acc[0])
+        return CentralElement._make(G, nums, G.order)
+
+    degrees = tuple(chi.degree for chi in table)
+    sizes = tuple(len(cls) for cls in classes)
+    return _Centre(
+        constants=tuple((i, j, k, a) for i, Ni in enumerate(G.class_constants())
+                        for k, row in enumerate(Ni) for j, a in enumerate(row) if a),
+        sizes=sizes,
+        lcm_size=math.lcm(*sizes),
+        degrees=degrees,
+        exponent=e,
+        phi=phi,
+        lifted=lifted,
+        one=CentralElement._make(G, [1] + [0] * (len(classes) - 1), 1),
+        N=idempotent_sum(degrees),
+        f={m: idempotent_sum([int(d == m) for d in degrees]) for m in sorted(set(degrees))},
+    )
 
 
-def apply_irrep(H: GroupRingMatrix, chi: Character):
-    """Block matrix rho_chi(H), (n*n_chi) x (n*n_chi) cyclotomic, for H over Q[G].
-
-    Each entry sum_g c_g rho(g)_ab is accumulated as one coefficient vector
-    on the power basis of the conductor of the irrep's matrices and becomes
-    one CycloNumber, so it is normalised once."""
-    G = H.group
-    rho = G.irreducible_representation(chi)
-    d = chi.degree
-    n = math.lcm(*(x.n for mat in rho.matrices for row in mat for x in row))
-    lifted = [[[x.lift(n) for x in row] for row in mat] for mat in rho.matrices]
-    phi = euler_phi(n)
-    zero = CycloNumber.zero()
-    M = [[zero] * (H.ncols * d) for _ in range(H.nrows * d)]
-    for i, hrow in enumerate(H.entries):
-        for j, x in enumerate(hrow):
-            support = [(c, lifted[g]) for g, c in enumerate(x.coeffs) if c]
-            if not support:
-                continue
-            for a in range(d):
-                for b in range(d):
-                    acc = [Fraction(0)] * phi
-                    for c, mat in support:
-                        for k, y in enumerate(mat[a][b]):
-                            if y:
-                                acc[k] += c * y
-                    M[i * d + a][j * d + b] = CycloNumber(n, acc)
-    return M
+def central_recompose(z: CentralElement) -> GroupRingElement:
+    """The central element z as a group-ring element: its coefficient on g
+    is that of the class of g."""
+    _, class_of = z.group.conjugacy_classes()
+    return GroupRingElement._make(z.group, [z.nums[c] for c in class_of], z.den)
 
 
-def charpoly_exact(A) -> list[CycloNumber]:
-    """Characteristic polynomial det(xI - A), ascending coefficients,
-    by the Faddeev-LeVerrier recursion in exact arithmetic."""
-    n = len(A)
-    zero = CycloNumber.zero()
-    one = CycloNumber.one()
-    if n == 0:
-        return [one]
-    Mcur = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    cs = [one]
-    for m in range(1, n + 1):
-        AM = [[_dot(A[i], [Mcur[t][j] for t in range(n)], zero) for j in range(n)]
-              for i in range(n)]
-        tr = zero
-        for i in range(n):
-            tr = tr + AM[i][i]
-        cm = tr * Fraction(-1, m)
-        cs.append(cm)
-        Mcur = [[AM[i][j] + cm if i == j else AM[i][j] for j in range(n)] for i in range(n)]
-    return [cs[n - i] for i in range(n + 1)]
+def _class_average(x: GroupRingElement) -> CentralElement:
+    """Projection onto the centre: sum_i (sum_{g in C_i} x_g / |C_i|) C_i."""
+    G = x.group
+    classes, _ = G.conjugacy_classes()
+    L = _centre(G).lcm_size
+    nums = [sum(x.nums[g] for g in cls) * (L // len(cls)) for cls in classes]
+    return CentralElement._make(G, nums, x.den * L)
 
 
-def _dot(row, col, zero):
-    acc = zero
-    for a, b in zip(row, col):
-        if a != zero and b != zero:
-            acc = acc + a * b
-    return acc
-
-
-def reduced_char_poly(H: GroupRingMatrix) -> list[list[CycloNumber]]:
-    """Per character, ascending coefficients of charpoly(rho_chi(H))."""
+def _newton(H: GroupRingMatrix):
+    """(powers, E): the powers H^0..H^(D-1) and the central E_0..E_D, for D
+    = n times the largest character degree."""
     if H.nrows != H.ncols:
         raise ValueError("square matrix required")
-    return [charpoly_exact(apply_irrep(H, chi)) for chi in H.group.character_table()]
+    G = H.group
+    centre = _centre(G)
+    n = H.nrows
+    D = n * max(centre.degrees)
+    powers = [GroupRingMatrix.identity(G, n)]
+    while len(powers) < D:
+        powers.append(H if len(powers) == 1 else powers[-1] * H)
+    traces = [_sum(A.entries[i][i] for i in range(n)) for A in powers[1:]]
+    # tr H^D needs only the diagonal of H^(D-1) H
+    traces.append(_sum(_dot(row, col) for row, col in zip(powers[-1].entries, zip(*H.entries))))
+    P = [None] + [centre.N * _class_average(t) for t in traces]
+    E = [centre.one]
+    for k in range(1, D + 1):
+        # k E_k = sum_{i=1..k} (-1)^(i-1) E_{k-i} P_i, with E_0 P_k = P_k
+        acc = P[k] if k % 2 else P[k].scale(-1)
+        for i in range(1, k):
+            term = E[k - i] * P[i]
+            acc = acc + term if i % 2 else acc - term
+        E.append(acc.scale(Fraction(1, k)))
+    return powers, E
 
 
-def reduced_norm(H: GroupRingMatrix) -> CentralVector:
-    """Nrd(H) componentwise: det(rho_chi(H)) = (-1)^deg * charpoly(0)."""
-    return _norm(H.group, reduced_char_poly(H))
+def _graded(G: FiniteGroup, n: int, E, j: int) -> CentralElement:
+    """sum_m f_m E_{nm-j} over the degrees m with nm >= j."""
+    f = _centre(G).f
+    return _sum(f[m] if n * m == j else f[m] * E[n * m - j] for m in f if n * m >= j)
 
 
-def _norm(G: FiniteGroup, polys) -> CentralVector:
-    return CentralVector(G, tuple(p[0] if len(p) % 2 else -p[0] for p in polys))
+def reduced_norm(H: GroupRingMatrix) -> CentralElement:
+    """Nrd(H) = sum_m f_m E_{nm}, a rational central element."""
+    _, E = _newton(H)
+    return _graded(H.group, H.nrows, E, 0)
 
 
 def adjoint_and_norm(H: GroupRingMatrix):
-    """(H*, Nrd(H)) computed together from one set of matrix powers.
+    """(H*, Nrd(H)) from one set of matrix powers.
 
-    H* = sum_j H^(j-1) c_j with each rational central c_j recomposed once;
-    it acts as the adjoint: H H* = H* H = Nrd(H) I, where the central
-    element Nrd(H) is recomposed into the group ring.
+    H* = sum_j H^(j-1) c_j with c_j = (-1)^(j+1) sum_m f_m E_{nm-j}; it acts
+    as the adjoint: H H* = H* H = Nrd(H) I, with the central element Nrd(H)
+    recomposed into the group ring.
     """
-    if H.nrows != H.ncols:
-        raise ValueError("square matrix required")
-    G = H.group
-    polys = reduced_char_poly(H)
-    zero = CycloNumber.zero()
-    power = GroupRingMatrix.identity(G, H.nrows)
+    powers, E = _newton(H)
+    G, n = H.group, H.nrows
     Hstar = None
-    for j in range(1, max(len(p) for p in polys)):
-        if j > 1:
-            power = power * H
-        # (-1)^(deg+1) alpha_j with deg = len(p) - 1
-        c = central_recompose(CentralVector(G, tuple(
-            zero if j >= len(p) else p[j] if len(p) % 2 == 0 else -p[j]
-            for p in polys)))
-        term = power.scale_element(c)
+    for j, power in enumerate(powers, start=1):
+        c = _graded(G, n, E, j)
+        if j % 2 == 0:
+            c = c.scale(-1)
+        term = power.scale_element(central_recompose(c))
         Hstar = term if Hstar is None else Hstar + term
-    return Hstar, _norm(G, polys)
+    return Hstar, _graded(G, n, E, 0)
 
 
 def commutative_ideal_lattice(G: FiniteGroup, generators, p: int, prec: int):

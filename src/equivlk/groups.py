@@ -1,12 +1,15 @@
 """Finite groups given by multiplication tables.
 
-Provides conjugacy data, commutator subgroups, exact character tables and
-explicit irreducible representations over Q(zeta_e), e the group exponent.
+Provides conjugacy data, commutator subgroups, the integer structure
+constants of the class algebra, and exact character tables over
+Q(zeta_e), e the group exponent.
 
 Character tables are computed by splitting the class algebra over a finite
 field F_q with q = 1 (mod e) and lifting the eigenvalue data back to exact
-cyclotomic integers; the lifted table is then verified against both
-orthogonality relations in exact arithmetic.
+cyclotomic integers; the lifted table is then verified against the first
+orthogonality relation in exact arithmetic.  The structure constants are
+also what group_algebra multiplies central elements with, so they are
+computed once per group.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import is_prime, primitive_root
 from .cyclo import CycloNumber
-from .linalg import kernel_basis, rref
 
 MAX_ABELIAN_ORDER = 512
 MAX_CHARTABLE_ORDER = 64
@@ -27,7 +28,6 @@ MAX_CHARTABLE_ORDER = 64
 __all__ = [
     "FiniteGroup",
     "Character",
-    "Irrep",
     "from_abelian_invariants",
     "named_group",
 ]
@@ -45,8 +45,8 @@ class FiniteGroup:
         self.id = self._find_identity()
         self.inv = tuple(self._find_inverse(g) for g in range(self.order))
         self._conj_data = None
+        self._class_constants = None
         self._char_table = None
-        self._irreps = {}
 
     # -- construction checks -------------------------------------------
 
@@ -177,6 +177,24 @@ class FiniteGroup:
         return all(self.mul[a][b] == self.mul[b][a]
                    for a in range(self.order) for b in range(self.order))
 
+    def class_constants(self):
+        """Integer structure constants of the class algebra, one r x r
+        matrix N_i per class (r classes): with C_i the class sums,
+        C_i * C_j = sum_k N_i[k][j] C_k.  N_i[k][j] counts the x in C_i
+        with x^-1 z in C_j, for any fixed z in C_k."""
+        if self._class_constants is None:
+            classes, class_of = self.conjugacy_classes()
+            reps = [c[0] for c in classes]
+            mats = []
+            for cls in classes:
+                N = [[0] * len(classes) for _ in classes]
+                for k, z in enumerate(reps):
+                    for x in cls:
+                        N[k][class_of[self.mul[self.inv[x]][z]]] += 1
+                mats.append(tuple(tuple(row) for row in N))
+            self._class_constants = tuple(mats)
+        return self._class_constants
+
     # -- character table -------------------------------------------------
 
     def character_table(self, max_order: int = MAX_CHARTABLE_ORDER):
@@ -187,11 +205,6 @@ class FiniteGroup:
             _verify_character_table(self, table)
             self._char_table = table
         return self._char_table
-
-    def irreducible_representation(self, chi: "Character") -> "Irrep":
-        if chi.index not in self._irreps:
-            self._irreps[chi.index] = _build_irrep(self, chi)
-        return self._irreps[chi.index]
 
     def to_json(self) -> dict:
         return {"table": [list(r) for r in self.mul]}
@@ -210,12 +223,6 @@ class Character:
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "values": [v.to_json() for v in self.values]}
-
-
-@dataclass(frozen=True)
-class Irrep:
-    character: Character
-    matrices: tuple  # one n x n CycloNumber matrix per group element
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +326,9 @@ def _dixon_character_table(G: FiniteGroup):
     q = e + 1
     while not (is_prime(q) and q > 2 * G.order):
         q += e
-    # class-algebra structure constants: C_i * C_j = sum_k a_ijk C_k, where
-    # a_ijk = #{x in C_i : x^{-1} z in C_j} for any fixed z in C_k; the
-    # matrix N_i of multiplication by C_i has entry (k, j) = a_ijk
+    # N_i is the matrix of multiplication by the class sum C_i
     reps = [c[0] for c in classes]
-    Nmats = []
-    for i in range(k):
-        N = [[0] * k for _ in range(k)]
-        for kk, z in enumerate(reps):
-            for x in classes[i]:
-                j = class_of[G.mul[G.inv[x]][z]]
-                N[kk][j] += 1
-        Nmats.append(N)
+    Nmats = G.class_constants()
     spaces = [[_unit_vec(k, j, q) for j in range(k)]]
     for i in range(k):
         if all(len(sp) == 1 for sp in spaces):
@@ -499,141 +497,3 @@ def _verify_character_table(G: FiniteGroup, table):
             expect = CycloNumber.from_rational(G.order if a == b else 0)
             if inner != expect:
                 raise RuntimeError("first orthogonality failed")
-
-
-# ---------------------------------------------------------------------------
-# explicit irreducible representations
-
-
-def _left_mult_matrix_entries(G: FiniteGroup, coeffs):
-    """|G| x |G| CycloNumber matrix of left multiplication by sum coeffs[g]*g."""
-    m = G.order
-    zero = CycloNumber.zero()
-    M = [[zero] * m for _ in range(m)]
-    for g, c in enumerate(coeffs):
-        if c.is_zero:
-            continue
-        for y in range(m):
-            M[G.mul[g][y]][y] = M[G.mul[g][y]][y] + c
-    return M
-
-
-def _build_irrep(G: FiniteGroup, chi: Character) -> Irrep:
-    classes, class_of = G.conjugacy_classes()
-    m = G.order
-    n = chi.degree
-    zero = CycloNumber.zero()
-    one = CycloNumber.one()
-    if n == 1:
-        mats = tuple(((chi.values[class_of[g]],),) for g in range(m))
-        return Irrep(chi, mats)
-
-    # central idempotent e = (n/|G|) sum chi(g^-1) g
-    scale = Fraction(n, m)
-    e_coeffs = [scale * chi.values[class_of[G.inv[g]]] for g in range(m)]
-    E = _left_mult_matrix_entries(G, e_coeffs)
-
-    # find a group element with a multiplicity-one eigenvalue in this irrep;
-    # the eigenvalue multiplicity of zeta_d^k in rho(g) is the discrete
-    # Fourier transform of j -> chi(g^j)
-    pick = None
-    for g in range(m):
-        d = G.element_order(g)
-        if d == 1:
-            continue
-        powers = [chi.values[class_of[G.power(g, j)]] for j in range(d)]
-        for kk in range(d):
-            mult = zero
-            for j in range(d):
-                mult = mult + powers[j] * CycloNumber.zeta(d, (-j * kk) % d)
-            mult = mult * Fraction(1, d)
-            if mult == one:
-                pick = (g, CycloNumber.zeta(d, kk))
-                break
-        if pick:
-            break
-    if pick is None:
-        raise RuntimeError("no simple eigenvalue found; cannot realize this irrep")
-    g0, lam = pick
-
-    # w with e*w = w and g0*w = lam*w: every such w generates a minimal ideal
-    rows = []
-    for i in range(m):
-        row = list(E[i])
-        row[i] = row[i] - one
-        rows.append(row)
-    for i in range(m):  # rows of L_{g0} - lam: (g0 * w)_i = w_{g0^{-1} i}
-        row = [zero] * m
-        j = G.mul[G.inv[g0]][i]
-        row[j] = row[j] + one
-        row[i] = row[i] - lam
-        rows.append(row)
-    ker = kernel_basis(rows, zero, one)
-    if not ker:
-        raise RuntimeError("no eigenvector found for irrep construction")
-    w0 = ker[0]
-
-    # module basis: span of { g*w0 }
-    span_rows = []
-    basis_vecs = []
-    for g in range(m):
-        vec = [zero] * m
-        for i in range(m):
-            if w0[i] != zero:
-                vec[G.mul[g][i]] = vec[G.mul[g][i]] + w0[i]
-        cand = span_rows + [vec]
-        if len(rref(cand, zero)[1]) > len(basis_vecs):
-            span_rows.append(vec)
-            basis_vecs.append(vec)
-        if len(basis_vecs) == n:
-            break
-    if len(basis_vecs) != n:
-        raise RuntimeError("generated module has wrong dimension")
-
-    # matrices: coordinates of g*b_i in the basis
-    B_cols = [[basis_vecs[j][i] for j in range(n)] for i in range(m)]  # m x n
-    mats = []
-    for g in range(m):
-        cols = []
-        for bi in basis_vecs:
-            img = [zero] * m
-            for i in range(m):
-                if bi[i] != zero:
-                    img[G.mul[g][i]] = img[G.mul[g][i]] + bi[i]
-            coords = _solve_coords(B_cols, img, zero)
-            cols.append(coords)
-        mats.append(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
-    irrep = Irrep(chi, tuple(mats))
-    _verify_irrep(G, irrep)
-    return irrep
-
-
-def _solve_coords(B, rhs, zero):
-    from .linalg import solve
-
-    x = solve(B, rhs, zero)
-    if x is None:
-        raise RuntimeError("image left the module span")
-    return x
-
-
-def _verify_irrep(G: FiniteGroup, irrep: Irrep):
-    classes, class_of = G.conjugacy_classes()
-    chi = irrep.character
-    n = chi.degree
-    zero = CycloNumber.zero()
-    for g in range(G.order):
-        tr = zero
-        for i in range(n):
-            tr = tr + irrep.matrices[g][i][i]
-        if tr != chi.values[class_of[g]]:
-            raise RuntimeError("trace mismatch in irrep")
-    from .linalg import mat_mul
-
-    for g in range(G.order):
-        for h in range(G.order):
-            prod = mat_mul([list(r) for r in irrep.matrices[g]],
-                           [list(r) for r in irrep.matrices[h]], zero)
-            gh = irrep.matrices[G.mul[g][h]]
-            if any(prod[i][j] != gh[i][j] for i in range(n) for j in range(n)):
-                raise RuntimeError("homomorphism property failed in irrep")

@@ -21,7 +21,7 @@ with root number W(chi) = tau(chi) / (i^delta sqrt(f)).  At integer points
 where the Gamma factor has a pole the L-function has a matching trivial
 zero, and Lambda means the finite limit (pole residue times L'), with L'
 from mpmath's analytic Hurwitz-zeta derivative.  The Gauss sum tau(chi) is
-exact, reduced to its minimal conductor once.
+exact, reduced to its minimal conductor once and built once per character.
 """
 
 from __future__ import annotations
@@ -217,10 +217,17 @@ def gauss_sum(chi: DirichletChar) -> CycloNumber:
     return _from_root_vector(M, v)
 
 
+# exact Gauss sums by (modulus, exponents), so each is built once per process
+_GAUSS_SUMS: dict[tuple, CycloNumber] = {}
+
+
 def root_number(chi: DirichletChar, bits: int = DEFAULT_BITS):
     """W(chi) = tau(chi) / (i^delta sqrt(f)); |W| = 1 for primitive chi."""
     f = chi.modulus
-    tau = gauss_sum(chi)
+    key = (f, chi.exps)
+    tau = _GAUSS_SUMS.get(key)
+    if tau is None:
+        tau = _GAUSS_SUMS[key] = gauss_sum(chi)
     with mp.workprec(bits + 16):
         w = embed_complex(tau, bits + 16) / mp.sqrt(f)
         if chi.is_odd:

@@ -1,5 +1,4 @@
-"""Integer matrix normal forms: Smith (with transforms), Hermite, and
-kernels of maps into (Z/m)^r.
+"""Integer matrix normal forms: Smith (with transforms) and Hermite.
 
 Matrices are lists of lists of Python ints; sizes stay small (at most a few
 hundred rows), so the classical pivoting algorithms with exact big integers
@@ -8,9 +7,7 @@ are fine.
 
 from __future__ import annotations
 
-from math import gcd
-
-__all__ = ["smith_normal_form", "hermite_normal_form", "kernel_mod"]
+__all__ = ["smith_normal_form", "hermite_normal_form"]
 
 
 def smith_normal_form(A):
@@ -124,32 +121,3 @@ def hermite_normal_form(A):
                 H[i] = [a - q * b for a, b in zip(H[i], H[r])]
         r += 1
     return [row for row in H[:r]]
-
-
-def kernel_mod(A, m: int):
-    """Basis (as columns x, returned as row vectors) of the lattice
-    { x in Z^cols : A x = 0 mod m }, expressed by generators mod m.
-
-    Returns a list of vectors that generate the kernel of
-    Z^cols -> (Z/m)^rows together with m*Z^cols.
-    """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return [[int(i == j) for j in range(cols)] for i in range(cols)]
-    D, U, V = smith_normal_form(A)
-    gens = []
-    r = min(rows, cols)
-    for i in range(cols):
-        d = D[i][i] if i < r else 0
-        if d == 0:
-            scale = 1
-        else:
-            scale = m // gcd(d, m)
-        if scale % m == 0 and d != 0 and gcd(d, m) == 1:
-            # x contributes only multiples of m; covered by the m-lattice
-            continue
-        vec = [V[row][i] * scale % m for row in range(cols)]
-        if any(vec):
-            gens.append(vec)
-    return gens

@@ -155,6 +155,46 @@ def test_annihilate_bad_case_is_a_failed_record(tmp_path):
     assert report["summary"] == {"total": 4, "pass": 3, "fail": 1, "info": 0}
 
 
+def run_main(tmp_path, subcommand, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_adjoint_bad_group_is_a_failed_record(tmp_path):
+    code, report = run_main(tmp_path, "adjoint-verify", {"groups": ["Nope"], "trials": 4})
+    assert code == 1
+    assert [r["id"] for r in report["checks"]] == ["adjoint/group-Nope"]
+    assert report["checks"][0]["witness"] == {
+        "error": "unknown group name 'NOPE'", "type": "ValueError"}
+    # the good groups are still sampled
+    code, report = run_main(tmp_path, "adjoint-verify",
+                            {"groups": ["C2", "Nope"], "n_max": 1, "trials": 3})
+    assert code == 1
+    assert report["summary"] == {"total": 4, "pass": 3, "fail": 1, "info": 0}
+
+
+def test_denominator_bad_group_is_a_failed_record(tmp_path):
+    code, report = run_main(tmp_path, "denominator-probe", {
+        "integral_cases": [["Nope", 5]], "witness_cases": [], "trials": 1})
+    assert code == 1
+    by_id = {r["id"]: r for r in report["checks"]}
+    assert by_id["denominator/integral-Nope-p5"]["verdict"] == "fail"
+    assert by_id["denominator/integral-Nope-p5"]["witness"]["type"] == "ValueError"
+    assert by_id["denominator/fixture-00-S3-p3"]["verdict"] == "pass"
+
+
+def test_fitt_abelian_bad_group_is_a_failed_record(tmp_path):
+    code, report = run_main(tmp_path, "fitt", {"mode": "abelian-agreement",
+                                               "groups": [[1]]})
+    assert code == 1
+    assert [r["id"] for r in report["checks"]] == ['fitt-abelian/group-{"abelian": [1]}']
+    assert report["checks"][0]["witness"] == {
+        "error": "all invariants must be >= 2", "type": "ValueError"}
+
+
 def test_main_table_rendering(capsys):
     code = main(["pi-ratio", "--table"])
     assert code == 0

@@ -10,7 +10,8 @@ from equivlk.fitting import (Presentation, _lattice_hnf,
                              fitting_invariant)
 from equivlk.group_algebra import GroupRingMatrix, central_recompose, reduced_norm
 from equivlk.groups import from_abelian_invariants, named_group
-from equivlk.snf import kernel_mod, smith_normal_form
+from equivlk.snf import smith_normal_form
+from oracles import kernel_mod
 
 
 def annihilator_bruteforce(pres, p, N):

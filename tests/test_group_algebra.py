@@ -1,18 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
-import pytest
+from oracles import (FractionElement, FractionMatrix, apply_irrep,
+                     charpoly_exact, irrep_adjoint_and_norm,
+                     recompose_components, reduced_char_poly)
 
 from equivlk.cyclo import CycloNumber
-from equivlk.group_algebra import (CentralVector, GroupRingElement,
+from equivlk.group_algebra import (CentralElement, GroupRingElement,
                                    GroupRingMatrix, adjoint_and_norm,
-                                   apply_irrep, central_recompose,
-                                   charpoly_exact, commutative_ideal_lattice,
-                                   reduced_char_poly, reduced_norm)
+                                   central_recompose, commutative_ideal_lattice,
+                                   reduced_norm)
 from equivlk.groups import from_abelian_invariants, named_group
 
 # every group named_group knows of order <= 12
 SMALL_GROUPS = [f"C{n}" for n in range(2, 13)] + ["V4", "S3", "D4", "Q8", "A4"]
+# every group named_group knows of order <= 24
+NAMED_GROUPS = [f"C{n}" for n in range(2, 25)] + ["V4", "S3", "D4", "Q8", "A4", "S4"]
 
 
 def central_idempotents(G):
@@ -23,48 +27,19 @@ def central_idempotents(G):
     for chi in G.character_table():
         scale = Fraction(chi.degree, G.order)
         coeffs = [scale * chi.values[class_of[G.inv[g]]] for g in range(G.order)]
-        out.append(GroupRingElement(G, coeffs))
+        out.append(FractionElement(G, coeffs))
     return out
-
-
-def recompose_by_elements(v):
-    """Oracle: sum_chi v_chi e_chi, scaling every coefficient of every e_chi."""
-    acc = None
-    for e, s in zip(central_idempotents(v.group), v.values):
-        term = e.scale(s)
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def apply_irrep_entrywise(H, chi):
-    """Oracle: rho_chi(H) with a cyclotomic multiply and add per group element."""
-    G = H.group
-    rho = G.irreducible_representation(chi)
-    d = chi.degree
-    zero = CycloNumber.zero()
-    M = [[zero] * (H.ncols * d) for _ in range(H.nrows * d)]
-    for i in range(H.nrows):
-        for j in range(H.ncols):
-            for g, c in enumerate(H.entries[i][j].coeffs):
-                if c == 0:
-                    continue
-                mat = rho.matrices[g]
-                for a in range(d):
-                    row = M[i * d + a]
-                    for b in range(d):
-                        row[j * d + b] = row[j * d + b] + c * mat[a][b]
-    return M
 
 
 def adjoint_by_characters(H):
     """Oracle: H* = sum_chi (-1)^(deg+1) sum_j alpha_{chi,j} H^(j-1) e_chi,
     every power scaled by e_chi alpha_{chi,j} over cyclotomic coefficients."""
     G = H.group
-    polys = [charpoly_exact(apply_irrep_entrywise(H, chi))
-             for chi in G.character_table()]
-    powers = [GroupRingMatrix.identity(G, H.nrows)]
+    polys = reduced_char_poly(H)
+    Hf = FractionMatrix.from_matrix(H)
+    powers = [FractionMatrix.identity(G, H.nrows)]
     for _ in range(max(len(p) for p in polys) - 2):
-        powers.append(powers[-1] * H)
+        powers.append(powers[-1] * Hf)
     total = None
     for poly, e in zip(polys, central_idempotents(G)):
         deg = len(poly) - 1
@@ -87,7 +62,14 @@ def central_decompose(x):
             if c != 0:
                 s = s + c * chi.values[class_of[g]]
         values.append(s * Fraction(1, chi.degree))
-    return CentralVector(G, tuple(values))
+    return tuple(values)
+
+
+def rand_central(rng, G):
+    classes, _ = G.conjugacy_classes()
+    cvals = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in classes]
+    den = 12
+    return CentralElement._make(G, [int(c * den) for c in cvals], den)
 
 
 def rand_matrix(rng, G, n, lo=-9, hi=9):
@@ -110,53 +92,84 @@ def test_central_idempotents():
         total = idems[0]
         for e in idems[1:]:
             total = total + e
-        one = GroupRingElement.delta(G, G.id).map_coeffs(CycloNumber.from_rational)
-        assert total == one
+        one = FractionElement.from_element(GroupRingElement.delta(G, G.id))
+        assert total == one.map_coeffs(CycloNumber.from_rational)
         for i, a in enumerate(idems):
             for j, b in enumerate(idems):
                 assert a * b == (a if i == j else a.scale(0))
+
+
+def test_integer_element_matches_fraction_class():
+    # sums, differences, products, scales and equality against the
+    # Fraction-coefficient group ring, with zero elements and denominators
+    # that cancel
+    rng = random.Random(43)
+    for name in ["C5", "S3", "Q8", "A4"]:
+        G = named_group(name)
+
+        def rand_coeffs():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return [0] * G.order
+            if kind == 1:  # one denominator that cancels against every numerator
+                d = rng.randint(2, 6)
+                return [Fraction(d * rng.randint(-4, 4), d) for _ in range(G.order)]
+            return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(G.order)]
+
+        for _ in range(30):
+            a, b = rand_coeffs(), rand_coeffs()
+            x, y = GroupRingElement(G, a), GroupRingElement(G, b)
+            fx, fy = FractionElement(G, [Fraction(c) for c in a]), \
+                FractionElement(G, [Fraction(c) for c in b])
+            q = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            for got, want in [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy),
+                              (y * x, fy * fx), (-x, -fx), (x.scale(q), fx.scale(q)),
+                              (x - x, fx - fx)]:
+                assert got.coeffs == want.coeffs, name
+                assert got == GroupRingElement(G, want.coeffs), name
+                assert got.den == math.lcm(*(c.denominator for c in want.coeffs))
+            assert (x == y) == (fx == fy)
+            assert not any((x - x).nums) and (x - x).den == 1
+            assert (x + y) - y == x
+
+
+def test_central_products_match_group_ring_products():
+    rng = random.Random(47)
+    for name in SMALL_GROUPS + ["S4"]:
+        G = named_group(name)
+        for _ in range(3):
+            z, w = rand_central(rng, G), rand_central(rng, G)
+            assert central_recompose(z * w) == central_recompose(z) * central_recompose(w)
+            assert central_recompose(z + w) == central_recompose(z) + central_recompose(w)
+            assert central_recompose(z - w) == central_recompose(z) - central_recompose(w)
 
 
 def test_central_recompose_matches_per_element_sum():
     rng = random.Random(31)
     for name in SMALL_GROUPS:
         G = named_group(name)
-        classes, class_of = G.conjugacy_classes()
-        vectors = []
-        for _ in range(3):  # random rational central elements
-            cvals = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in classes]
-            vectors.append(central_decompose(GroupRingElement(
-                G, [cvals[class_of[g]] for g in range(G.order)])))
+        vectors = [rand_central(rng, G) for _ in range(3)]
         vectors += [reduced_norm(rand_matrix(rng, G, n, -3, 3)) for n in (1, 2)]
         for v in vectors:
             got = central_recompose(v)
             assert all(type(c) is Fraction for c in got.coeffs), name
-            want = recompose_by_elements(v)
+            want = recompose_components(G, v.values)
             assert list(got.coeffs) == list(want.coeffs), name
 
 
-def test_central_recompose_rejects_non_galois_stable():
-    G = named_group("C3")
-    table = G.character_table()
-    k = next(i for i, chi in enumerate(table)
-             if not all(x.is_rational for x in chi.values))
-    values = [CycloNumber.zero()] * len(table)
-    values[k] = CycloNumber.one()
-    with pytest.raises(RuntimeError, match="central element is not rational"):
-        central_recompose(CentralVector(G, tuple(values)))
-
-
-def test_apply_irrep_matches_entrywise():
+def test_apply_irrep_is_multiplicative():
+    # the oracle's rho_chi is a ring homomorphism on matrices over Q[G]
     rng = random.Random(37)
     for name in ["C6", "S3", "D4", "Q8", "A4"]:
         G = named_group(name)
         for chi in G.character_table():
             for n in (1, 2):
-                H = rand_matrix(rng, G, n)
-                got = apply_irrep(H, chi)
-                want = apply_irrep_entrywise(H, chi)
-                assert all((x.n, x.coeffs) == (y.n, y.coeffs)
-                           for r, s in zip(got, want) for x, y in zip(r, s)), name
+                A, B = rand_matrix(rng, G, n), rand_matrix(rng, G, n)
+                ra, rb = apply_irrep(A, chi), apply_irrep(B, chi)
+                d = len(ra)
+                prod = [[sum((ra[i][t] * rb[t][j] for t in range(d)), CycloNumber.zero())
+                         for j in range(d)] for i in range(d)]
+                assert apply_irrep(A * B, chi) == prod, name
 
 
 def test_rational_adjoint_matches_per_character_assembly():
@@ -173,16 +186,32 @@ def test_rational_adjoint_matches_per_character_assembly():
                     assert list(x.coeffs) == list(y.coeffs), name
 
 
+def test_newton_route_matches_irrep_route():
+    # H*, Nrd and the nrd report JSON against explicit irreducible
+    # representations and cyclotomic characteristic polynomials
+    rng = random.Random(53)
+    for name in NAMED_GROUPS:
+        G = named_group(name)
+        for n in (1, 2):
+            H = rand_matrix(rng, G, n, -3, 3)
+            Hstar, nrd = adjoint_and_norm(H)
+            want_star, want_nrd = irrep_adjoint_and_norm(H)
+            for row, wrow in zip(Hstar.entries, want_star.entries):
+                for x, y in zip(row, wrow):
+                    assert x.coeffs == y.coeffs, (name, n)
+            assert nrd.values == want_nrd, (name, n)
+            assert nrd.to_json() == {"components": [v.to_json() for v in want_nrd]}
+            assert reduced_norm(H) == nrd, (name, n)
+
+
 def test_central_decompose_roundtrip():
     G = named_group("D4")
     rng = random.Random(3)
-    classes, class_of = G.conjugacy_classes()
-    # random central element: constant on classes
-    cvals = [Fraction(rng.randint(-5, 5)) for _ in classes]
-    z = GroupRingElement.from_rational_coeffs(G, [cvals[class_of[g]] for g in range(G.order)])
-    z = z.map_coeffs(CycloNumber.from_rational)
-    back = central_recompose(central_decompose(z))
-    assert back == z
+    for _ in range(3):
+        z = rand_central(rng, G)
+        values = z.values
+        assert values == central_decompose(central_recompose(z))
+        assert recompose_components(G, values).coeffs == central_recompose(z).coeffs
 
 
 def test_charpoly_cayley_hamilton():
@@ -215,7 +244,7 @@ def test_reduced_char_poly_degrees():
 
 def test_adjoint_identity_and_norm():
     rng = random.Random(17)
-    for name in ["C6", "S3", "D4", "Q8"]:
+    for name in ["C6", "S3", "D4", "Q8", "A4", "S4"]:
         G = named_group(name)
         for n in (1, 2):
             H = rand_matrix(rng, G, n)
@@ -233,6 +262,7 @@ def test_norm_multiplicative():
     B = rand_matrix(rng, G, 2, -4, 4)
     na, nb, nab = reduced_norm(A), reduced_norm(B), reduced_norm(A * B)
     assert all(x * y == z for x, y, z in zip(na.values, nb.values, nab.values))
+    assert na * nb == nab
 
 
 def test_norm_of_group_element_unit():
@@ -247,8 +277,8 @@ def test_norm_of_group_element_unit():
 
 def test_commutative_ideal_lattice():
     G = from_abelian_invariants([4])
-    x = GroupRingElement.from_rational_coeffs(G, [2, 0, 0, 0])
-    y = GroupRingElement.from_rational_coeffs(G, [0, 2, 0, 0])  # unit multiple
+    x = GroupRingElement(G, [2, 0, 0, 0])
+    y = GroupRingElement(G, [0, 2, 0, 0])  # unit multiple
     assert commutative_ideal_lattice(G, [x], 3, 6) == commutative_ideal_lattice(G, [y], 3, 6)
-    z = GroupRingElement.from_rational_coeffs(G, [6, 0, 0, 0])
+    z = GroupRingElement(G, [6, 0, 0, 0])
     assert commutative_ideal_lattice(G, [x], 3, 6) != commutative_ideal_lattice(G, [z], 3, 6)

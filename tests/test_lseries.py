@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from equivlk import lseries
 from equivlk.cyclo import CycloNumber
 from equivlk.dirichlet import DirichletChar, enumerate_characters
 from equivlk.lseries import (_character_sum, _hurwitz_vector,
@@ -88,6 +89,26 @@ def test_gauss_sum_chi4():
     tau = gauss_sum(chi4())
     val = embed_complex(tau, 96)
     assert abs(val - mp.mpc(0, 2)) < mp.mpf(2) ** -80
+
+
+def test_root_number_builds_each_gauss_sum_once(monkeypatch):
+    built = []
+
+    def counting(chi):
+        built.append((chi.modulus, chi.exps))
+        return gauss_sum(chi)
+
+    monkeypatch.setattr(lseries, "gauss_sum", counting)
+    monkeypatch.setattr(lseries, "_GAUSS_SUMS", {})
+    chars = [chi for f in (5, 7, 8) for chi in enumerate_characters(f) if chi.is_primitive]
+    first = [root_number(chi, 96) for chi in chars]
+    # new objects for the same characters, other precisions
+    again = [root_number(DirichletChar(chi.modulus, chi.exps), bits)
+             for chi in chars for bits in (96, 128)]
+    assert sorted(built) == sorted((chi.modulus, chi.exps) for chi in chars)
+    assert again[::2] == first
+    for chi, w in zip(chars, again[1::2]):
+        assert abs(w - first[chars.index(chi)]) < mp.mpf(2) ** -90
 
 
 def test_root_numbers_unimodular():

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from equivlk.snf import hermite_normal_form, kernel_mod, smith_normal_form
+from equivlk.snf import hermite_normal_form, smith_normal_form
+from oracles import kernel_mod
 
 
 def matmul(A, B):
