@@ -188,6 +188,18 @@ class CycloNumber:
                            normalize=False)
 
     @staticmethod
+    def from_root_vector(n: int, v, den: int = 1) -> "CycloNumber":
+        """sum_k (v[k] / den) zeta_n^k for integers v[k], k < n, as one
+        normalized CycloNumber."""
+        coeffs = [0] * euler_phi(n)
+        for x, row in zip(v, _power_table(n)):
+            if x:
+                for j, rj in enumerate(row):
+                    if rj:
+                        coeffs[j] += x * rj
+        return CycloNumber(n, [Fraction(x, den) for x in coeffs])
+
+    @staticmethod
     def zero() -> "CycloNumber":
         return CycloNumber(1, (Fraction(0),), normalize=False)
 

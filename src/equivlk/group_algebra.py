@@ -38,6 +38,7 @@ from functools import cache
 
 from .cyclo import CycloNumber, euler_phi
 from .groups import FiniteGroup
+from .snf import hermite_normal_form
 
 __all__ = [
     "GroupRingElement",
@@ -386,8 +387,6 @@ def commutative_ideal_lattice(G: FiniteGroup, generators, p: int, prec: int):
 
     Generator coefficients must be rational with denominators prime to p
     (prime-to-p denominators are units mod p^prec)."""
-    from .snf import hermite_normal_form
-
     m = G.order
     q = p ** prec
     rows = []

@@ -1,11 +1,9 @@
-"""Dirichlet L-values, exactly and numerically, and their functional
-equation.
+"""Dirichlet L-values numerically, and their functional equation.
 
-Exact route: L(1-r, chi) = -B_{r,chi}/r through generalized Bernoulli
-numbers, a cyclotomic number in Q(chi).  With chi(a) = zeta_L^k(a), the
-rational terms are summed per exponent k and the Euler factors act on that
-vector, on integer numerators over one denominator, so each exact value is
-reduced to its minimal conductor once.
+The exact values L(1-r, chi) = -B_{r,chi}/r live in `dirichlet`, which never
+loads mpmath; this module holds the numeric route and the exact Gauss sums
+that the root numbers need.
+
 Numeric route: Hurwitz zeta at a stated bit precision, the vector
 (zeta(s, a/f))_{a=1..f} evaluated once per modulus, point and precision and
 shared by every character mod f.  S-truncated values multiply in the Euler
@@ -27,20 +25,15 @@ exact, reduced to its minimal conductor once and built once per character.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 
-from .cyclo import CycloNumber, _power_table, euler_phi
+from .cyclo import CycloNumber
 from .dirichlet import DirichletChar
 from .numeric import DEFAULT_BITS, detect_rational, embed_complex
 
 __all__ = [
-    "bernoulli_number",
-    "bernoulli_numerators",
-    "gen_bernoulli",
-    "l_value_exact",
     "l_value_numeric",
     "gauss_sum",
     "root_number",
@@ -52,101 +45,7 @@ __all__ = [
     "complex_place_leading",
     "pi_power_prediction",
     "pi_power_ratio_check",
-    "gross_equivariance_check",
 ]
-
-
-@lru_cache(maxsize=None)
-def bernoulli_number(n: int) -> Fraction:
-    """B_n with B_1 = -1/2 (even-index convention elsewhere unaffected)."""
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    # sum_{k=0}^{n} C(n+1, k) B_k = 0
-    acc = Fraction(0)
-    for k in range(n):
-        acc += math.comb(n + 1, k) * bernoulli_number(k)
-    return -acc / (n + 1)
-
-
-@lru_cache(maxsize=None)
-def bernoulli_numerators(f: int, r: int) -> tuple[int, tuple[int, ...]]:
-    """(den, nums) with f^(r-1) B_r(a/f) = nums[a-1] / den for a = 1..f,
-    shared by every character mod f.
-
-    f^(r-1) B_r(a/f) = sum_k C(r, k) B_k f^(k-1) a^(r-k), evaluated as an
-    integer polynomial in a over one common denominator."""
-    coeffs = [math.comb(r, k) * bernoulli_number(k) * Fraction(f) ** (k - 1)
-              for k in range(r + 1)]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    row = []
-    for a in range(1, f + 1):
-        acc = 0
-        for c in ints:  # Horner, highest power of a first
-            acc = acc * a + c
-        row.append(acc)
-    return den, tuple(row)
-
-
-def _bernoulli_vector(chi: DirichletChar, r: int):
-    """(L, v, den) with B_{r,chi} = sum_k (v[k] / den) zeta_L^k: the terms
-    f^(r-1) B_r(a/f) summed by the exponent k(a) of chi(a) = zeta_L^k(a),
-    on integer numerators."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    L, ks = chi.root_exponents()
-    den, row = bernoulli_numerators(chi.modulus, r)
-    v = [0] * L
-    for a, b in enumerate(row, 1):
-        k = ks[a % chi.modulus]
-        if k is not None:
-            v[k] += b
-    return L, v, den
-
-
-def _from_root_vector(L: int, v, den: int = 1) -> CycloNumber:
-    """sum_k (v[k] / den) zeta_L^k, v integers, as one normalized
-    CycloNumber."""
-    coeffs = [0] * euler_phi(L)
-    for x, row in zip(v, _power_table(L)):
-        if x:
-            for j, rj in enumerate(row):
-                if rj:
-                    coeffs[j] += x * rj
-    return CycloNumber(L, [Fraction(x, den) for x in coeffs])
-
-
-def gen_bernoulli(chi: DirichletChar, r: int) -> CycloNumber:
-    """B_{r,chi} = f^(r-1) sum_{a=1}^{f} chi(a) B_r(a/f)."""
-    return _from_root_vector(*_bernoulli_vector(chi, r))
-
-
-def l_value_exact(chi: DirichletChar, s: int, S=()) -> CycloNumber:
-    """L_S(s, chi) at an integer s <= 0, s = 1 - r.
-
-    An imprimitive chi gives the series with the Euler factors at primes
-    dividing the modulus removed, as usual.  Each v in S prime to the
-    modulus contributes (1 - chi(v) v^(r-1)).
-    """
-    if s > 0:
-        raise ValueError("exact values only at s <= 0")
-    r = 1 - s
-    f = chi.modulus
-    L, v, den = _bernoulli_vector(chi, r)
-    v = [-x for x in v]
-    _, ks = chi.root_exponents()
-    for p in sorted(set(S)):
-        k = ks[p % f]
-        if f % p == 0 or k is None:
-            continue  # Euler factor already missing, or chi(p) = 0
-        # times (1 - p^(r-1) zeta_L^k) in Q[x]/(x^L - 1)
-        c = p ** (r - 1)
-        v = [x - c * v[(j - k) % L] for j, x in enumerate(v)]
-    return _from_root_vector(L, v, den * r)
 
 
 # typed: an mpf and an mpc of equal value stay separate keys, since mpmath
@@ -214,7 +113,7 @@ def gauss_sum(chi: DirichletChar) -> CycloNumber:
         k = ks[a % f]
         if k is not None:
             v[(k * (M // L) + a * (M // f)) % M] += 1
-    return _from_root_vector(M, v)
+    return CycloNumber.from_root_vector(M, v)
 
 
 # exact Gauss sums by (modulus, exponents), so each is built once per process
@@ -378,33 +277,3 @@ def pi_power_ratio_check(place: str, r: int, nplus: int, nminus: int = 0,
         ratio = num[1] / den[1] / mp.power(mp.pi, k)
         rat = detect_rational(ratio, max_den=max_den, bits=bits)
     return k, rat
-
-
-# ---------------------------------------------------------------------------
-# Galois equivariance of exact L-values
-
-
-def gross_equivariance_check(f: int, r: int, S=()):
-    """sigma_t(L_S(1-r, chi)) = L_S(1-r, chi^t) for all chi mod f and all
-    t prime to the order of chi; returns a list of failing (chi, t)."""
-    from .dirichlet import enumerate_characters
-
-    failures = []
-    chars = enumerate_characters(f)
-    values = {chi.exps: l_value_exact(chi, 1 - r, S) for chi in chars}
-    for chi in chars:
-        e = max(chi.order, 1)
-        base = values[chi.exps]
-        for t in range(1, e + 1):
-            if math.gcd(t, e) != 1:
-                continue
-            # the value lies in Q(zeta_e); sigma_t restricts to its conductor
-            lifted = base if base.n == 1 else base.galois(t % base.n)
-            other = values[_power_char(chi, t).exps]
-            if lifted != other:
-                failures.append((chi.label(), t))
-    return failures
-
-
-def _power_char(chi: DirichletChar, t: int) -> DirichletChar:
-    return DirichletChar(chi.modulus, tuple(t * k for k in chi.exps))

@@ -17,8 +17,7 @@ import math
 from fractions import Fraction
 
 from .arith import factorize, is_prime, is_prime_power
-from .dirichlet import MAX_MODULUS
-from .lseries import bernoulli_numerators
+from .dirichlet import MAX_MODULUS, bernoulli_numerators
 from .snf import smith_normal_form
 
 __all__ = [

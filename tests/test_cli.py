@@ -141,6 +141,33 @@ def test_unknown_group_is_a_failed_record(subcommand, tmp_path):
     assert report["summary"] == {"total": 1, "pass": 0, "fail": 1, "info": 0}
 
 
+@pytest.mark.parametrize("subcommand", ["char-table", "nrd", "fitt"])
+def test_missing_group_is_a_failed_record(subcommand, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    out = tmp_path / "report.json"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert [r["id"] for r in report["checks"]] == [f"{subcommand}/group-null"]
+    assert report["checks"][0]["witness"] == {
+        "error": "config names no group", "type": "ValueError"}
+    assert report["summary"] == {"total": 1, "pass": 0, "fail": 1, "info": 0}
+
+
+@pytest.mark.parametrize("config", [{"mode": "abelian", "group": "S3"},
+                                    {"mode": "abelian"}])
+def test_unknown_fitt_mode_is_a_failed_record(config, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert main(["fitt", "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert [r["id"] for r in report["checks"]] == ["fitt/mode-abelian"]
+    assert report["checks"][0]["witness"] == {
+        "error": "unknown fitt mode 'abelian'", "type": "ValueError"}
+    assert report["summary"] == {"total": 1, "pass": 0, "fail": 1, "info": 0}
+
+
 def test_annihilate_bad_case_is_a_failed_record(tmp_path):
     # p = 3 divides |S3'| = 3: that case fails, the good case still runs
     cfg = tmp_path / "cfg.json"

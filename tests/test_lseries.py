@@ -6,12 +6,13 @@ import pytest
 
 from equivlk import lseries
 from equivlk.cyclo import CycloNumber
-from equivlk.dirichlet import DirichletChar, enumerate_characters
+from equivlk.dirichlet import (DirichletChar, bernoulli_number,
+                               bernoulli_numerators, enumerate_characters,
+                               gen_bernoulli, gross_equivariance_check,
+                               l_value_exact)
 from equivlk.lseries import (_character_sum, _hurwitz_vector,
                              _l_derivative, archimedean_leading,
-                             bernoulli_number, bernoulli_numerators, completed_lambda, fe_residual,
-                             gauss_sum, gen_bernoulli,
-                             gross_equivariance_check, l_value_exact,
+                             completed_lambda, fe_residual, gauss_sum,
                              l_value_numeric, l_value_via_fe,
                              pi_power_prediction, pi_power_ratio_check,
                              root_number)

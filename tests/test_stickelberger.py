@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from equivlk.cyclo import CycloNumber
-from equivlk.dirichlet import enumerate_characters
-from equivlk.lseries import l_value_exact
+from equivlk.dirichlet import enumerate_characters, l_value_exact
 from equivlk.stickelberger import (easy_annihilators, higher_w,
                                    integrality_check,
                                    kgroup_annihilates, kgroup_finite_field,
