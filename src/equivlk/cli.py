@@ -415,6 +415,25 @@ def run_denominator_probe(config, seed, bits):
     return checks
 
 
+def _bad_lvalue_config(subcommand: str, f_max, s_list=None):
+    """Checks holding one failed <subcommand>/config record when f_max is not
+    an integer in 1..MAX_MODULUS, or s_list (if given) is not a non-empty
+    list of integers >= 2, the points r > 1 of the conjecture; else None."""
+    from .dirichlet import MAX_MODULUS
+
+    if type(f_max) is not int or not 1 <= f_max <= MAX_MODULUS:
+        problem = f"f_max must be an integer in 1..{MAX_MODULUS}, got {f_max!r}"
+    elif s_list is not None and (type(s_list) is not list or not s_list or any(
+            type(s) is not int or s < 2 for s in s_list)):
+        problem = f"s must be a non-empty list of integers >= 2, got {s_list!r}"
+    else:
+        return None
+    inputs = {"f_max": f_max} if s_list is None else {"f_max": f_max, "s": s_list}
+    checks = Checks()
+    checks.add(f"{subcommand}/config", inputs, "fail", _error(ValueError(problem)))
+    return checks
+
+
 def _primitive_grid(f_max: int):
     from .dirichlet import enumerate_characters
 
@@ -435,9 +454,12 @@ def run_lvalue(config, seed, bits):
     from .dirichlet import DirichletChar, enumerate_characters, l_value_exact
     from .numeric import embed_complex
 
-    checks = Checks()
     f_max = config.get("f_max", 20)
     s_list = config.get("s", [2, 3, 4])
+    bad = _bad_lvalue_config("lvalue", f_max, s_list)
+    if bad is not None:
+        return bad
+    checks = Checks()
     tol = mp.mpf(2) ** config.get("tol_log2", -100)
 
     def zeta_check():
@@ -487,9 +509,12 @@ def run_verify_fe(config, seed, bits):
 
     from . import lseries
 
-    checks = Checks()
     f_max = config.get("f_max", 20)
     s_list = config.get("s", [2, 3, 4])
+    bad = _bad_lvalue_config("verify-fe", f_max, s_list)
+    if bad is not None:
+        return bad
+    checks = Checks()
     tol = mp.mpf(2) ** config.get("tol_log2", -100)
     for chi in _primitive_grid(f_max):
         for s in s_list:
@@ -537,8 +562,11 @@ def run_pi_ratio(config, seed, bits):
 def run_gross_check(config, seed, bits):
     from .dirichlet import gross_equivariance_check
 
-    checks = Checks()
     f_max = config.get("f_max", 30)
+    bad = _bad_lvalue_config("gross-check", f_max)
+    if bad is not None:
+        return bad
+    checks = Checks()
     r_max = config.get("r_max", 5)
     S = tuple(config.get("S", []))
     for f in range(1, f_max + 1):
@@ -557,8 +585,11 @@ def run_gross_check(config, seed, bits):
 def run_stickelberger(config, seed, bits):
     from . import stickelberger
 
-    checks = Checks()
     f_max = config.get("f_max", 25)
+    bad = _bad_lvalue_config("stickelberger", f_max)
+    if bad is not None:
+        return bad
+    checks = Checks()
     r_max = config.get("r_max", 3)
     count_c = config.get("count_c", 5)
     S = tuple(config.get("S", []))

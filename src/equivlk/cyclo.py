@@ -4,9 +4,11 @@ Elements are stored on the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1)
 with Fraction coefficients, reduced modulo the n-th cyclotomic polynomial.
 After every operation the representation is normalized to the smallest
 conductor d | n containing the element, so equality and rationality tests
-are structural.  The inner loops (conductor reduction, lifts, products,
-Galois action) run on integer numerators over one common denominator and
-build each Fraction coefficient once.
+are structural.  The normalization descends one prime at a time by the
+closed-form relative trace of Q(zeta_n)/Q(zeta_(n/p)).  The inner loops
+(conductor reduction, lifts, products, Galois action) run on integer
+numerators over one common denominator and build each Fraction
+coefficient once.
 """
 
 from __future__ import annotations
@@ -100,43 +102,34 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _descent_solver(n: int, d: int):
-    """Solver data for expressing conductor-n elements in Q(zeta_d), d | n.
+def _sparse_power_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of _power_table(m) as their nonzero (j, entry) pairs."""
+    return tuple(tuple((j, r) for j, r in enumerate(row) if r)
+                 for row in _power_table(m))
 
-    Returns (den, rows, pivots, rank): den * T = rows is an integer matrix,
-    for T the row-operation matrix of a row reduction of the
-    phi(n) x phi(d) embedding matrix M, and pivots maps each pivot row to
-    its column.  An element v descends iff the non-pivot rows of T v vanish;
-    its Q(zeta_d) coordinates are the pivot rows of T v.
-    """
-    phi_n = euler_phi(n)
-    phi_d = euler_phi(d)
-    table = _power_table(n)
-    step = n // d
-    # column j of M = coordinates of zeta_d^j = zeta_n^(j * step)
-    M = [[Fraction(table[j * step][i]) for j in range(phi_d)] for i in range(phi_n)]
-    T = [[Fraction(1 if i == j else 0) for j in range(phi_n)] for i in range(phi_n)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(phi_d):
-        piv = next((r for r in range(row, phi_n) if M[r][col]), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        T[row], T[piv] = T[piv], T[row]
-        inv = 1 / M[row][col]
-        M[row] = [x * inv for x in M[row]]
-        T[row] = [x * inv for x in T[row]]
-        for r in range(phi_n):
-            if r != row and M[r][col]:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[row])]
-                T[r] = [a - f * b for a, b in zip(T[r], T[row])]
-        pivots.append((row, col))
-        row += 1
-    den = math.lcm(*(x.denominator for r in T for x in r))
-    rows = tuple(tuple(int(x * den) for x in r) for r in T)
-    return den, rows, tuple(pivots), row
+
+def _power_sum(m: int, vec, mult: int = 1) -> list[int]:
+    """Integer coordinates on the conductor-m power basis of
+    sum_k vec[k] zeta_m^(k * mult), for integers vec[k]."""
+    table = _sparse_power_table(m)
+    out = [0] * euler_phi(m)
+    for k, x in enumerate(vec):
+        if x:
+            for j, rj in table[k * mult % m]:
+                out[j] += x * rj
+    return out
+
+
+def _relative_trace(n: int, p: int, nums) -> list[int]:
+    """The trace from Q(zeta_n) to Q(zeta_d), d = n/p with p prime to d, of
+    sum_k nums[k] zeta_n^k, on the conductor-d power basis.
+
+    zeta_n = zeta_d^(p') zeta_p^(d') for p p' = 1 mod d and d d' = 1 mod p,
+    so Tr(zeta_n^k) = c zeta_d^(k p'), with c = p - 1 when p | k and
+    c = -1 otherwise."""
+    d = n // p
+    return _power_sum(d, [(p - 1 if k % p == 0 else -1) * x
+                          for k, x in enumerate(nums)], pow(p, -1, d))
 
 
 def _numerators(coeffs) -> tuple[int, list[int]]:
@@ -191,13 +184,7 @@ class CycloNumber:
     def from_root_vector(n: int, v, den: int = 1) -> "CycloNumber":
         """sum_k (v[k] / den) zeta_n^k for integers v[k], k < n, as one
         normalized CycloNumber."""
-        coeffs = [0] * euler_phi(n)
-        for x, row in zip(v, _power_table(n)):
-            if x:
-                for j, rj in enumerate(row):
-                    if rj:
-                        coeffs[j] += x * rj
-        return CycloNumber(n, [Fraction(x, den) for x in coeffs])
+        return CycloNumber(n, _over(_power_sum(n, v), den))
 
     @staticmethod
     def zero() -> "CycloNumber":
@@ -215,17 +202,8 @@ class CycloNumber:
             return self.coeffs
         if m % self.n:
             raise ValueError(f"{self.n} does not divide {m}")
-        table = _power_table(m)
-        step = m // self.n
         den, nums = _numerators(self.coeffs)
-        out = [0] * euler_phi(m)
-        for k, x in enumerate(nums):
-            if x:
-                row = table[(k * step) % m]
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] += x * rj
-        return tuple(_over(out, den))
+        return tuple(_over(_power_sum(m, nums, m // self.n), den))
 
     @property
     def is_zero(self) -> bool:
@@ -365,16 +343,8 @@ class CycloNumber:
             raise ValueError(f"{t} not coprime to conductor {self.n}")
         if self.n == 1:
             return self
-        table = _power_table(self.n)
         den, nums = _numerators(self.coeffs)
-        out = [0] * euler_phi(self.n)
-        for k, x in enumerate(nums):
-            if x:
-                row = table[(k * t) % self.n]
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] += x * rj
-        return CycloNumber(self.n, _over(out, den))
+        return CycloNumber(self.n, _over(_power_sum(self.n, nums, t), den))
 
     def conjugate(self) -> "CycloNumber":
         return self.galois(self.n - 1) if self.n > 1 else self
@@ -406,28 +376,30 @@ def _coerce(x):
 def _reduce_conductor(n: int, nums: list[int]):
     """Normalize sum_k nums[k] zeta_n^k, nums integers, to the smallest
     conductor d | n containing it: returns (d, nums', scale) with the
-    element equal to sum_k (nums'[k] / scale) zeta_d^k."""
+    element equal to sum_k (nums'[k] / scale) zeta_d^k.
+
+    x lies in Q(zeta_d), d = n/p, iff Tr(x) = e x for the relative trace and
+    the degree e = [Q(zeta_n):Q(zeta_d)]; its coordinates there are then
+    those of Tr(x) / e.  If p | d, then e = p and Tr(zeta_n^k) is
+    p zeta_d^(k/p) when p | k and 0 otherwise, so x descends iff its
+    coordinates off the multiples of p vanish, and the others are its
+    coordinates in Q(zeta_d).  If not, e = p - 1 and Tr is _relative_trace.
+    Since Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), descending by
+    any prime that allows it ends at the one minimal conductor."""
     scale = 1
-    changed = True
-    while changed and n > 1:
-        changed = False
-        support = [(i, x) for i, x in enumerate(nums) if x]
+    while n > 1:
         for p, _ in factorize(n):
             d = n // p
-            den, T, pivots, rank = _descent_solver(n, d)
-
-            def row_of_tv(r):
-                row = T[r]
-                return sum(row[i] * x for i, x in support)
-
-            # the element descends iff the non-pivot rows of T v vanish
-            if any(row_of_tv(r) for r in range(rank, len(nums))):
+            if d % p == 0:
+                if not any(x for k, x in enumerate(nums) if k % p):
+                    n, nums = d, nums[::p]
+                    break
                 continue
-            new = [0] * euler_phi(d)
-            for row, col in pivots:
-                new[col] = row_of_tv(row)
-            n, nums, scale = d, new, scale * den
-            changed = True
+            trace = _relative_trace(n, p, nums)
+            if _power_sum(n, trace, p) == [(p - 1) * x for x in nums]:
+                n, nums, scale = d, trace, scale * (p - 1)
+                break
+        else:
             break
     return n, nums, scale
 

@@ -5,9 +5,10 @@ loads mpmath; this module holds the numeric route and the exact Gauss sums
 that the root numbers need.
 
 Numeric route: Hurwitz zeta at a stated bit precision, the vector
-(zeta(s, a/f))_{a=1..f} evaluated once per modulus, point and precision and
-shared by every character mod f.  S-truncated values multiply in the Euler
-factors of the primes in S away from the modulus.
+(zeta(s, a/f)) over the a in 1..f prime to f evaluated once per modulus,
+point and precision and shared by every character mod f.  S-truncated
+values multiply in the Euler factors of the primes in S away from the
+modulus.
 
 Completed L-function convention: Lambda(s, chi) = L_R(s + delta) L(s, chi)
 with L_R(s) = pi^(-s/2) Gamma(s/2) and delta = 0, 1 for even, odd chi.
@@ -52,20 +53,27 @@ __all__ = [
 # may evaluate them by different routes
 @lru_cache(maxsize=256, typed=True)
 def _hurwitz_vector(f: int, s, wp: int, d: int) -> tuple:
-    """(zeta^(d)(s, a/f))_{a=1..f} at working precision wp: one vector per
-    modulus, shared by every character mod f."""
+    """((a, zeta^(d)(s, a/f)) for a in 1..f prime to f) at working precision
+    wp: one vector per modulus, shared by every character mod f.  chi(a) = 0
+    for the other a, so their values would never be used."""
     with mp.workprec(wp):
-        return tuple(mp.zeta(s, mp.mpf(a) / f, d) for a in range(1, f + 1))
+        return tuple((a, mp.zeta(s, mp.mpf(a) / f, d))
+                     for a in range(1, f + 1) if math.gcd(a, f) == 1)
+
+
+@lru_cache(maxsize=None)
+def _embedded_value(c: CycloNumber, wp: int):
+    """embed_complex(c, wp) once per value and precision: the character
+    values are the few roots of unity of the characters' orders."""
+    return embed_complex(c, wp)
 
 
 def _character_sum(chi: DirichletChar, s, wp: int, d: int = 0):
     """sum_a chi(a) zeta^(d)(s, a/f) at working precision wp."""
     with mp.workprec(wp):
         total = mp.mpc(0)
-        for a, z in enumerate(_hurwitz_vector(chi.modulus, s, wp, d), 1):
-            c = chi.value(a)
-            if not c.is_zero:
-                total += embed_complex(c, wp) * z
+        for a, z in _hurwitz_vector(chi.modulus, s, wp, d):
+            total += _embedded_value(chi.value(a), wp) * z
         return total
 
 
@@ -82,7 +90,7 @@ def l_value_numeric(chi: DirichletChar, s, bits: int = DEFAULT_BITS, S=()):
         for v in sorted(set(S)):
             if f % v == 0:
                 continue
-            total *= 1 - embed_complex(chi.value(v), wp) * mp.power(v, -s)
+            total *= 1 - _embedded_value(chi.value(v), wp) * mp.power(v, -s)
         with mp.workprec(bits):
             return +total
 
@@ -116,23 +124,28 @@ def gauss_sum(chi: DirichletChar) -> CycloNumber:
     return CycloNumber.from_root_vector(M, v)
 
 
-# exact Gauss sums by (modulus, exponents), so each is built once per process
+# exact Gauss sums by (modulus, exponents) and root numbers by (modulus,
+# exponents, bits), so each is built and embedded once per process
 _GAUSS_SUMS: dict[tuple, CycloNumber] = {}
+_ROOT_NUMBERS: dict[tuple, mp.mpc] = {}
 
 
 def root_number(chi: DirichletChar, bits: int = DEFAULT_BITS):
     """W(chi) = tau(chi) / (i^delta sqrt(f)); |W| = 1 for primitive chi."""
     f = chi.modulus
     key = (f, chi.exps)
-    tau = _GAUSS_SUMS.get(key)
-    if tau is None:
-        tau = _GAUSS_SUMS[key] = gauss_sum(chi)
-    with mp.workprec(bits + 16):
-        w = embed_complex(tau, bits + 16) / mp.sqrt(f)
-        if chi.is_odd:
-            w /= mp.mpc(0, 1)
-        with mp.workprec(bits):
-            return +w
+    w = _ROOT_NUMBERS.get(key + (bits,))
+    if w is None:
+        tau = _GAUSS_SUMS.get(key)
+        if tau is None:
+            tau = _GAUSS_SUMS[key] = gauss_sum(chi)
+        with mp.workprec(bits + 16):
+            w = embed_complex(tau, bits + 16) / mp.sqrt(f)
+            if chi.is_odd:
+                w /= mp.mpc(0, 1)
+            with mp.workprec(bits):
+                w = _ROOT_NUMBERS[key + (bits,)] = +w
+    return w
 
 
 # ---------------------------------------------------------------------------

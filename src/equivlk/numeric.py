@@ -7,10 +7,11 @@ bits.  Values are plain mpmath mpc/mpf objects at the requested precision.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, euler_phi
 
 DEFAULT_BITS = 128
 
@@ -23,15 +24,23 @@ def to_mpf(q, bits: int):
         return mp.mpf(q.numerator) / mp.mpf(q.denominator)
 
 
+@lru_cache(maxsize=None)
+def _roots(n: int, wp: int) -> tuple:
+    """exp(2 pi i k / n) for k < phi(n) at working precision wp."""
+    with mp.workprec(wp):
+        if n == 1:
+            return (mp.mpc(1),)
+        return tuple(mp.expjpi(mp.mpf(2 * k) / n) for k in range(euler_phi(n)))
+
+
 def embed_complex(x: CycloNumber, bits: int = DEFAULT_BITS):
     """Numeric image of x under the standard embedding zeta_n -> exp(2*pi*i/n)."""
     if bits < 53:
         raise ValueError("need at least 53 bits")
     with mp.workprec(bits + 16):
         total = mp.mpc(0)
-        for k, c in enumerate(x.coeffs):
+        for c, term in zip(x.coeffs, _roots(x.n, bits + 16)):
             if c:
-                term = mp.expjpi(mp.mpf(2 * k) / x.n) if x.n > 1 else mp.mpc(1)
                 total += to_mpf(c, bits + 16) * term
         with mp.workprec(bits):
             return +total

@@ -9,13 +9,18 @@
   coefficient (Fraction or CycloNumber) per group element, which the
   integer-numerator GroupRingElement replaced.
 * kernel_mod, the kernel of an integer matrix mod m.
+* reduce_conductor_by_solver, the conductor descent by Gauss-Jordan
+  elimination of the embedding Q(zeta_d) -> Q(zeta_n), which the
+  closed-form relative trace in equivlk.cyclo replaced.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
-from equivlk.cyclo import CycloNumber
+from equivlk.arith import factorize
+from equivlk.cyclo import CycloNumber, _power_table, euler_phi
 from equivlk.snf import smith_normal_form
 
 
@@ -466,3 +471,69 @@ def kernel_mod(A, m: int):
         if any(vec):
             gens.append(vec)
     return gens
+
+
+# ---------------------------------------------------------------------------
+# conductor descent by Gauss-Jordan elimination
+
+
+@lru_cache(maxsize=None)
+def _descent_solver(n: int, d: int):
+    """Solver data for expressing conductor-n elements in Q(zeta_d), d | n.
+
+    Returns (den, rows, pivots, rank): den * T = rows is an integer matrix,
+    for T the row-operation matrix of a row reduction of the
+    phi(n) x phi(d) embedding matrix M, and pivots maps each pivot row to
+    its column.  An element v descends iff the non-pivot rows of T v vanish;
+    its Q(zeta_d) coordinates are the pivot rows of T v.
+    """
+    phi_n = euler_phi(n)
+    phi_d = euler_phi(d)
+    table = _power_table(n)
+    step = n // d
+    # column j of M = coordinates of zeta_d^j = zeta_n^(j * step)
+    M = [[Fraction(table[j * step][i]) for j in range(phi_d)] for i in range(phi_n)]
+    T = [[Fraction(1 if i == j else 0) for j in range(phi_n)] for i in range(phi_n)]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(phi_d):
+        piv = next((r for r in range(row, phi_n) if M[r][col]), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        T[row], T[piv] = T[piv], T[row]
+        inv = 1 / M[row][col]
+        M[row] = [x * inv for x in M[row]]
+        T[row] = [x * inv for x in T[row]]
+        for r in range(phi_n):
+            if r != row and M[r][col]:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[row])]
+                T[r] = [a - f * b for a, b in zip(T[r], T[row])]
+        pivots.append((row, col))
+        row += 1
+    den = lcm(*(x.denominator for r in T for x in r))
+    rows = tuple(tuple(int(x * den) for x in r) for r in T)
+    return den, rows, tuple(pivots), row
+
+
+def reduce_conductor_by_solver(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
+    """(d, coordinates) of sum_k coeffs[k] zeta_n^k at its minimal
+    conductor d, descending one prime at a time through _descent_solver."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    nums = [int(Fraction(c) * den) for c in coeffs]
+    while n > 1:
+        for p, _ in factorize(n):
+            d = n // p
+            sden, T, pivots, rank = _descent_solver(n, d)
+            tv = [sum(t * x for t, x in zip(T[r], nums)) for r in range(len(nums))]
+            if any(tv[rank:]):
+                continue
+            new = [0] * euler_phi(d)
+            for row, col in pivots:
+                new[col] = tv[row]
+            n, nums, den = d, new, den * sden
+            break
+        else:
+            break
+    return n, tuple(Fraction(x, den) for x in nums)

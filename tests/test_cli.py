@@ -222,6 +222,25 @@ def test_fitt_abelian_bad_group_is_a_failed_record(tmp_path):
         "error": "all invariants must be >= 2", "type": "ValueError"}
 
 
+@pytest.mark.parametrize("subcommand,config,problem", [
+    ("verify-fe", {"f_max": "7"}, "f_max must be an integer in 1..1000, got '7'"),
+    ("verify-fe", {"f_max": 0}, "f_max must be an integer in 1..1000, got 0"),
+    ("verify-fe", {"f_max": 5, "s": [1]},
+     "s must be a non-empty list of integers >= 2, got [1]"),
+    ("lvalue", {"f_max": 1001}, "f_max must be an integer in 1..1000, got 1001"),
+    ("lvalue", {"f_max": 5, "s": []}, "s must be a non-empty list of integers >= 2, got []"),
+    ("lvalue", {"f_max": 5, "s": 3}, "s must be a non-empty list of integers >= 2, got 3"),
+    ("gross-check", {"f_max": True}, "f_max must be an integer in 1..1000, got True"),
+    ("stickelberger", {"f_max": -1}, "f_max must be an integer in 1..1000, got -1"),
+])
+def test_bad_lvalue_config_is_one_failed_record(subcommand, config, problem, tmp_path):
+    code, report = run_main(tmp_path, subcommand, config)
+    assert code == 1
+    assert [r["id"] for r in report["checks"]] == [f"{subcommand}/config"]
+    assert report["checks"][0]["witness"] == {"error": problem, "type": "ValueError"}
+    assert report["summary"] == {"total": 1, "pass": 0, "fail": 1, "info": 0}
+
+
 def test_main_table_rendering(capsys):
     code = main(["pi-ratio", "--table"])
     assert code == 0

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivlk.cyclo import (CycloNumber, _power_table, cyclotomic_poly,
-                          euler_phi, zeta)
+from equivlk.cyclo import (CycloNumber, _power_table, _reduce_conductor,
+                          cyclotomic_poly, euler_phi, zeta)
+from oracles import reduce_conductor_by_solver
 
 
 def test_euler_phi():
@@ -82,37 +83,6 @@ def lift_by_fractions(n, coeffs, m):
     return out
 
 
-def reduce_by_fractions(n, coeffs):
-    """Oracle: conductor reduction by a row reduction over Fractions, the
-    route taken before it ran on integer numerators."""
-    while n > 1:
-        for p in [p for p in range(2, n + 1) if n % p == 0
-                  and all(p % q for q in range(2, p))]:
-            d = n // p
-            table = fraction_table(n)
-            M = [[table[j * p][i] for j in range(euler_phi(d))]
-                 for i in range(euler_phi(n))]
-            # solve M y = v for y, or find that v is not in the column span
-            rows = [M[i] + [coeffs[i]] for i in range(len(M))]
-            pivots, r = [], 0
-            for col in range(euler_phi(d)):
-                piv = next(i for i in range(r, len(rows)) if rows[i][col])
-                rows[r], rows[piv] = rows[piv], rows[r]
-                rows[r] = [x / rows[r][col] for x in rows[r]]
-                for i in range(len(rows)):
-                    if i != r and rows[i][col]:
-                        rows[i] = [a - rows[i][col] * b
-                                   for a, b in zip(rows[i], rows[r])]
-                pivots.append(col)
-                r += 1
-            if all(row[-1] == 0 for row in rows[r:]):
-                n, coeffs = d, [rows[i][-1] for i in range(r)]
-                break
-        else:
-            break
-    return n, tuple(coeffs)
-
-
 def random_element(rng, n):
     """Coordinates on the conductor-n basis of a random element of a random
     subfield Q(zeta_d), d | n, so that normalisation has to descend."""
@@ -128,8 +98,25 @@ def test_integer_normalization_matches_fraction_reduction():
         for _ in range(4):
             v = random_element(rng, n)
             x = CycloNumber(n, v)
-            assert (x.n, x.coeffs) == reduce_by_fractions(n, v), (n, v)
+            assert (x.n, x.coeffs) == reduce_conductor_by_solver(n, v), (n, v)
             assert all(type(c) is Fraction for c in x.coeffs)
+
+
+def test_trace_descent_matches_gauss_jordan_oracle():
+    # every n <= 120: a random element of each subfield Q(zeta_m), m | n,
+    # lifted to n, and a generic element of Q(zeta_n)
+    rng = random.Random(8)
+    for n in range(2, 121):
+        cases = [lift_by_fractions(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                                       for _ in range(euler_phi(m))], n)
+                 for m in range(1, n + 1) if n % m == 0]
+        cases.append([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                      for _ in range(euler_phi(n))])
+        for v in cases:
+            den = math.lcm(*(c.denominator for c in v))
+            d, nums, scale = _reduce_conductor(n, [int(c * den) for c in v])
+            got = tuple(Fraction(x, den * scale) for x in nums)
+            assert (d, got) == reduce_conductor_by_solver(n, v), (n, v)
 
 
 def test_products_lifts_and_galois_match_fraction_loops():
@@ -150,14 +137,14 @@ def test_products_lifts_and_galois_match_fraction_loops():
                     for k, t in enumerate(table[i + j]):
                         prod[k] += x * y * t
             ab = a * b
-            assert (ab.n, ab.coeffs) == reduce_by_fractions(m, prod)
+            assert (ab.n, ab.coeffs) == reduce_conductor_by_solver(m, prod)
             for t in [t for t in range(1, a.n + 1) if math.gcd(t, a.n) == 1]:
                 image = [Fraction(0)] * euler_phi(a.n)
                 for k, c in enumerate(a.coeffs):
                     for j, rj in enumerate(fraction_table(a.n)[k * t % a.n]):
                         image[j] += c * rj
                 g = a.galois(t)
-                assert (g.n, g.coeffs) == reduce_by_fractions(a.n, image), (n, t)
+                assert (g.n, g.coeffs) == reduce_conductor_by_solver(a.n, image), (n, t)
 
 
 def test_rational_normalization():

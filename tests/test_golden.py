@@ -1,10 +1,14 @@
-"""Golden reports of the group-ring campaigns.
+"""Golden reports of the group-ring and L-value campaigns.
 
 Each entry is the sha256 of a report written by the CLI, with every
-time_ms zeroed, at a small fixed config.  The digests were recorded with
-the reduced norms and adjoints computed through explicit irreducible
-representations; the Newton's-identities route must reproduce those
-reports byte for byte.
+time_ms zeroed, at a small fixed config.  The group-ring digests were
+recorded with the reduced norms and adjoints computed through explicit
+irreducible representations; the Newton's-identities route must reproduce
+those reports byte for byte.  The L-value digests were recorded with the
+conductor descent solved by Gauss-Jordan elimination, the Hurwitz vectors
+taken over every a in 1..f and every root of unity embedded afresh; they
+pin the noise-level witnesses (residual_log2, abs_error_log2, transported)
+bit for bit.
 """
 
 import hashlib
@@ -31,6 +35,16 @@ GOLDEN = [
     ("denominator-probe", {"integral_cases": [["S3", 5]], "witness_cases": [["S3", 3]],
                            "trials": 3, "witness_trials": 10, "n_max": 1}, 6,
      "ca11612eb10a4540f8246c7ef582ccf07e73f2b24b1dabcf1ccc6a7b5e965985"),
+    ("verify-fe", {"f_max": 8, "s": [2, 3]}, 3,
+     "17b03fd422f6968d7af20d1cd5914759942f50717eef0ab84af6be371ccec7a8"),
+    ("lvalue", {"f_max": 9, "s": [2, 3]}, 4,
+     "21e63a8c066cac09a911f93ec4063b8ac9026528b41ac638310898eea5cb34ac"),
+    ("gross-check", {"f_max": 12, "r_max": 2, "S": [5]}, 5,
+     "ca5fbf21f37d9e4094f0722d1afa571a55e26a9a9b12a3e7b01b6c0c56378b2d"),
+    ("stickelberger", {"f_max": 10, "r_max": 2, "count_c": 3, "S": [7]}, 6,
+     "bc63db99d0ba12c1ebbfa8857f05ce4c8405d96cdfb5261ff4a2006703b879fd"),
+    ("pi-ratio", {"r": [2, 3], "n_max": 2, "bits": 96}, 7,
+     "86cd9416f80e8df31d851649240e9d9654066a12ddecfdedf0cb23f3fca469aa"),
 ]
 
 

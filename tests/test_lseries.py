@@ -94,19 +94,28 @@ def test_gauss_sum_chi4():
 
 def test_root_number_builds_each_gauss_sum_once(monkeypatch):
     built = []
+    embedded = []
 
     def counting(chi):
         built.append((chi.modulus, chi.exps))
         return gauss_sum(chi)
 
+    def counting_embed(x, bits):
+        embedded.append(bits)
+        return embed_complex(x, bits)
+
     monkeypatch.setattr(lseries, "gauss_sum", counting)
+    monkeypatch.setattr(lseries, "embed_complex", counting_embed)
     monkeypatch.setattr(lseries, "_GAUSS_SUMS", {})
+    monkeypatch.setattr(lseries, "_ROOT_NUMBERS", {})
     chars = [chi for f in (5, 7, 8) for chi in enumerate_characters(f) if chi.is_primitive]
     first = [root_number(chi, 96) for chi in chars]
     # new objects for the same characters, other precisions
     again = [root_number(DirichletChar(chi.modulus, chi.exps), bits)
              for chi in chars for bits in (96, 128)]
     assert sorted(built) == sorted((chi.modulus, chi.exps) for chi in chars)
+    # tau(chi) is embedded once per (character, precision)
+    assert sorted(embedded) == sorted([112, 144] * len(chars))
     assert again[::2] == first
     for chi, w in zip(chars, again[1::2]):
         assert abs(w - first[chars.index(chi)]) < mp.mpf(2) ** -90
@@ -221,6 +230,18 @@ def hurwitz_sum_by_terms(chi, s, wp):
             if not c.is_zero:
                 total += embed_complex(c, wp) * mp.zeta(s, mp.mpf(a) / chi.modulus)
         return total
+
+
+def test_hurwitz_vector_holds_the_units_mod_f():
+    for f in [1, 2, 5, 8, 12, 15]:
+        for d in [0, 1]:
+            with mp.workprec(120):
+                s = mp.mpf(-2)
+                vec = _hurwitz_vector(f, s, 120, d)
+                assert [a for a, _ in vec] == [a for a in range(1, f + 1)
+                                               if math.gcd(a, f) == 1]
+                assert all(bits_of(z) == bits_of(mp.zeta(s, mp.mpf(a) / f, d))
+                           for a, z in vec), (f, d)
 
 
 def l_value_numeric_by_terms(chi, s, bits, S=()):
