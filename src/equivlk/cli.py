@@ -27,7 +27,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .arith import is_prime_power, pval
+from .arith import is_prime, is_prime_power, pval
 # Bound by name at import: the benchmark's tracer test
 # (perfbench/test_perfbench.py) uses this binding as its example of a by-name
 # import that the tracer must rebind.  It loads group_algebra, groups, cyclo
@@ -66,6 +66,10 @@ class Checks:
                 raise ValueError(f"unknown verdict {verdict!r}")
         except Exception as exc:  # a crashed check is a failed check
             verdict, witness = "fail", _error(exc)
+        # whole milliseconds on purpose: perfbench/run.py zeroes each
+        # '"time_ms": <digits>' before it hashes a report, so the fractional
+        # digits of a float would stay in the digest and break the check
+        # that every pass of a benchmark run writes the same report bytes
         ms = int((time.perf_counter() - t0) * 1000)
         self.add(check_id, inputs, verdict, witness, ms)
 
@@ -415,23 +419,39 @@ def run_denominator_probe(config, seed, bits):
     return checks
 
 
-def _bad_lvalue_config(subcommand: str, f_max, s_list=None):
-    """Checks holding one failed <subcommand>/config record when f_max is not
-    an integer in 1..MAX_MODULUS, or s_list (if given) is not a non-empty
-    list of integers >= 2, the points r > 1 of the conjecture; else None."""
-    from .dirichlet import MAX_MODULUS
+def _integer(lo=None, hi=None):
+    """Config rule (test, wording): an int, not a bool, in lo..hi; either
+    bound may be left open."""
+    wording = "an integer" + (f" in {lo}..{hi}" if hi is not None
+                              else f" >= {lo}" if lo is not None else "")
+    return (lambda v: type(v) is int and (lo is None or v >= lo)
+            and (hi is None or v <= hi)), wording
 
-    if type(f_max) is not int or not 1 <= f_max <= MAX_MODULUS:
-        problem = f"f_max must be an integer in 1..{MAX_MODULUS}, got {f_max!r}"
-    elif s_list is not None and (type(s_list) is not list or not s_list or any(
-            type(s) is not int or s < 2 for s in s_list)):
-        problem = f"s must be a non-empty list of integers >= 2, got {s_list!r}"
-    else:
-        return None
-    inputs = {"f_max": f_max} if s_list is None else {"f_max": f_max, "s": s_list}
-    checks = Checks()
-    checks.add(f"{subcommand}/config", inputs, "fail", _error(ValueError(problem)))
-    return checks
+
+def _integer_list(lo):
+    """Config rule: a non-empty list of integers >= lo."""
+    return (lambda v: type(v) is list and v != [] and all(
+        type(x) is int and x >= lo for x in v)), f"a non-empty list of integers >= {lo}"
+
+
+_PRIMES = (lambda v: type(v) is list and all(type(p) is int and is_prime(p) for p in v),
+           "a list of primes")
+
+
+def _config_values(subcommand: str, config: dict, **rules):
+    """The value of each key = (default, rule) of rules in config, or its
+    default; or Checks holding one failed <subcommand>/config record for the
+    first value that breaks its rule (test, wording)."""
+    values = []
+    for key, (default, (test, wording)) in rules.items():
+        value = config.get(key, default)
+        if not test(value):
+            checks = Checks()
+            checks.add(f"{subcommand}/config", {key: value}, "fail",
+                       _error(ValueError(f"{key} must be {wording}, got {value!r}")))
+            return checks
+        values.append(value)
+    return values
 
 
 def _primitive_grid(f_max: int):
@@ -451,16 +471,17 @@ def run_lvalue(config, seed, bits):
     import mpmath as mp
 
     from . import lseries
-    from .dirichlet import DirichletChar, enumerate_characters, l_value_exact
+    from .dirichlet import MAX_MODULUS, DirichletChar, enumerate_characters, l_value_exact
     from .numeric import embed_complex
 
-    f_max = config.get("f_max", 20)
-    s_list = config.get("s", [2, 3, 4])
-    bad = _bad_lvalue_config("lvalue", f_max, s_list)
-    if bad is not None:
-        return bad
+    # s = 1 - r at the points r > 1 of the conjecture
+    values = _config_values("lvalue", config, f_max=(20, _integer(1, MAX_MODULUS)),
+                            s=([2, 3, 4], _integer_list(2)), tol_log2=(-100, _integer()))
+    if isinstance(values, Checks):
+        return values
+    f_max, s_list, tol_log2 = values
     checks = Checks()
-    tol = mp.mpf(2) ** config.get("tol_log2", -100)
+    tol = mp.mpf(2) ** tol_log2
 
     def zeta_check():
         v = l_value_exact(DirichletChar.trivial(1), -1)
@@ -508,14 +529,15 @@ def run_verify_fe(config, seed, bits):
     import mpmath as mp
 
     from . import lseries
+    from .dirichlet import MAX_MODULUS
 
-    f_max = config.get("f_max", 20)
-    s_list = config.get("s", [2, 3, 4])
-    bad = _bad_lvalue_config("verify-fe", f_max, s_list)
-    if bad is not None:
-        return bad
+    values = _config_values("verify-fe", config, f_max=(20, _integer(1, MAX_MODULUS)),
+                            s=([2, 3, 4], _integer_list(2)), tol_log2=(-100, _integer()))
+    if isinstance(values, Checks):
+        return values
+    f_max, s_list, tol_log2 = values
     checks = Checks()
-    tol = mp.mpf(2) ** config.get("tol_log2", -100)
+    tol = mp.mpf(2) ** tol_log2
     for chi in _primitive_grid(f_max):
         for s in s_list:
             def check(chi=chi, s=s):
@@ -532,9 +554,13 @@ def run_verify_fe(config, seed, bits):
 def run_pi_ratio(config, seed, bits):
     from . import lseries
 
+    # the paper's claim is for r > 1, where the pi power is predicted
+    values = _config_values("pi-ratio", config, r=([2, 3], _integer_list(2)),
+                            n_max=(2, _integer(1)))
+    if isinstance(values, Checks):
+        return values
+    r_list, n_max = values
     checks = Checks()
-    r_list = config.get("r", [2, 3])
-    n_max = config.get("n_max", 2)
     max_den = config.get("max_den", 10 ** 4)
     combos = []
     for n in range(1, n_max + 1):
@@ -560,15 +586,14 @@ def run_pi_ratio(config, seed, bits):
 
 
 def run_gross_check(config, seed, bits):
-    from .dirichlet import gross_equivariance_check
+    from .dirichlet import MAX_MODULUS, gross_equivariance_check
 
-    f_max = config.get("f_max", 30)
-    bad = _bad_lvalue_config("gross-check", f_max)
-    if bad is not None:
-        return bad
+    values = _config_values("gross-check", config, f_max=(30, _integer(1, MAX_MODULUS)),
+                            r_max=(5, _integer(1)), S=([], _PRIMES))
+    if isinstance(values, Checks):
+        return values
+    f_max, r_max, S = values
     checks = Checks()
-    r_max = config.get("r_max", 5)
-    S = tuple(config.get("S", []))
     for f in range(1, f_max + 1):
         for r in range(1, r_max + 1):
             def check(f=f, r=r):
@@ -584,15 +609,15 @@ def run_gross_check(config, seed, bits):
 
 def run_stickelberger(config, seed, bits):
     from . import stickelberger
+    from .dirichlet import MAX_MODULUS
 
-    f_max = config.get("f_max", 25)
-    bad = _bad_lvalue_config("stickelberger", f_max)
-    if bad is not None:
-        return bad
+    values = _config_values("stickelberger", config,
+                            f_max=(25, _integer(1, MAX_MODULUS)), r_max=(3, _integer(1)),
+                            count_c=(5, _integer(1)), S=([], _PRIMES))
+    if isinstance(values, Checks):
+        return values
+    f_max, r_max, count_c, S = values
     checks = Checks()
-    r_max = config.get("r_max", 3)
-    count_c = config.get("count_c", 5)
-    S = tuple(config.get("S", []))
     for f in range(1, f_max + 1):
         for r in range(1, r_max + 1):
             def check(f=f, r=r):
@@ -615,10 +640,12 @@ def run_stickelberger(config, seed, bits):
 def run_kff(config, seed, bits):
     from . import stickelberger
 
+    values = _config_values("kff", config, q_max=(9, _integer()), d_max=(4, _integer()),
+                            r_max=(3, _integer(1)))
+    if isinstance(values, Checks):
+        return values
+    q_max, d_max, r_max = values
     checks = Checks()
-    q_max = config.get("q_max", 9)
-    d_max = config.get("d_max", 4)
-    r_max = config.get("r_max", 3)
     prime_powers = [q for q in range(2, q_max + 1) if is_prime_power(q)]
     for q in prime_powers:
         for d in range(1, d_max + 1):

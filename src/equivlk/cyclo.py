@@ -1,14 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 Elements are stored on the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1)
-with Fraction coefficients, reduced modulo the n-th cyclotomic polynomial.
-After every operation the representation is normalized to the smallest
-conductor d | n containing the element, so equality and rationality tests
-are structural.  The normalization descends one prime at a time by the
-closed-form relative trace of Q(zeta_n)/Q(zeta_(n/p)).  The inner loops
-(conductor reduction, lifts, products, Galois action) run on integer
-numerators over one common denominator and build each Fraction
-coefficient once.
+as integer numerators over one positive denominator, reduced modulo the
+n-th cyclotomic polynomial and by their common gcd.  After every operation
+the representation is normalized to the smallest conductor d | n
+containing the element, so equality and rationality tests are structural.
+The normalization descends one prime at a time by the closed-form relative
+trace of Q(zeta_n)/Q(zeta_(n/p)).  Every inner loop (conductor reduction,
+lifts, products, Galois action) runs on integers; rational coefficient
+objects are built only to read a coefficient out or to take one in.
 """
 
 from __future__ import annotations
@@ -19,22 +19,12 @@ from functools import lru_cache
 
 from .arith import factorize
 
-__all__ = ["CycloNumber", "cyclotomic_poly", "euler_phi", "zeta"]
+__all__ = ["CycloNumber", "cyclotomic_poly", "euler_phi"]
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n))
 
 
 def _divisors(n: int) -> list[int]:
@@ -132,39 +122,32 @@ def _relative_trace(n: int, p: int, nums) -> list[int]:
                           for k, x in enumerate(nums)], pow(p, -1, d))
 
 
-def _numerators(coeffs) -> tuple[int, list[int]]:
-    """(den, nums) with coeffs[k] = nums[k] / den, den the least common
-    denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def _over(nums, den: int) -> list[Fraction]:
-    return [Fraction(x, den) for x in nums]
-
-
 class CycloNumber:
-    """An exact element of some Q(zeta_n), normalized to minimal conductor."""
+    """An exact element of some Q(zeta_n), normalized to minimal conductor:
+    sum_k (nums[k] / den) zeta_n^k with integer nums, den > 0 and
+    gcd(den, *nums) = 1, so the triple (n, den, nums) is canonical."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "den", "nums")
 
-    def __init__(self, n: int, coeffs, normalize: bool = True):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        if len(coeffs) != euler_phi(n):
-            raise ValueError(f"need phi({n}) = {euler_phi(n)} coefficients, got {len(coeffs)}")
+    def __init__(self, n: int, nums, normalize: bool = True, *, den: int = 1):
+        if len(nums) != euler_phi(n):
+            raise ValueError(f"need phi({n}) = {euler_phi(n)} coefficients, got {len(nums)}")
         if normalize and n > 1:
-            den, nums = _numerators(coeffs)
-            d, nums, scale = _reduce_conductor(n, nums)
-            if d != n:
-                n, coeffs = d, tuple(_over(nums, den * scale))
+            n, nums, scale = _reduce_conductor(n, nums)
+            den *= scale
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
         self.n = n
-        self.coeffs = coeffs
+        self.den = den // g
+        self.nums = tuple(x // g for x in nums) if g != 1 else tuple(nums)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "CycloNumber":
-        return CycloNumber(1, (Fraction(q),), normalize=False)
+        q = Fraction(q)
+        return CycloNumber(1, (q.numerator,), normalize=False, den=q.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycloNumber":
@@ -184,30 +167,35 @@ class CycloNumber:
     def from_root_vector(n: int, v, den: int = 1) -> "CycloNumber":
         """sum_k (v[k] / den) zeta_n^k for integers v[k], k < n, as one
         normalized CycloNumber."""
-        return CycloNumber(n, _over(_power_sum(n, v), den))
+        return CycloNumber(n, _power_sum(n, v), den=den)
 
     @staticmethod
     def zero() -> "CycloNumber":
-        return CycloNumber(1, (Fraction(0),), normalize=False)
+        return CycloNumber(1, (0,), normalize=False)
 
     @staticmethod
     def one() -> "CycloNumber":
-        return CycloNumber(1, (Fraction(1),), normalize=False)
+        return CycloNumber(1, (1,), normalize=False)
 
     # -- representation helpers --------------------------------------
 
-    def lift(self, m: int) -> tuple[Fraction, ...]:
-        """Coordinates of self on the conductor-m power basis (n | m)."""
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def lift(self, m: int):
+        """Integer numerators over self.den of self on the conductor-m power
+        basis (n | m)."""
         if m == self.n:
-            return self.coeffs
+            return self.nums
         if m % self.n:
             raise ValueError(f"{self.n} does not divide {m}")
-        den, nums = _numerators(self.coeffs)
-        return tuple(_over(_power_sum(m, nums, m // self.n), den))
+        return _power_sum(m, self.nums, m // self.n)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     @property
     def is_rational(self) -> bool:
@@ -216,27 +204,28 @@ class CycloNumber:
     def to_fraction(self) -> Fraction:
         if self.n != 1:
             raise ValueError(f"not rational (conductor {self.n})")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- ring operations ----------------------------------------------
-
-    def _common(self, other: "CycloNumber"):
-        m = self.n * other.n // math.gcd(self.n, other.n)
-        return m, self.lift(m), other.lift(m)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
         if self.n == 1 and other.n == 1:
-            return CycloNumber(1, (self.coeffs[0] + other.coeffs[0],), normalize=False)
-        m, a, b = self._common(other)
-        return CycloNumber(m, tuple(x + y for x, y in zip(a, b)))
+            return CycloNumber(1, (self.nums[0] * sa + other.nums[0] * sb,),
+                               normalize=False, den=den)
+        m = math.lcm(self.n, other.n)
+        return CycloNumber(m, [x * sa + y * sb for x, y in
+                               zip(self.lift(m), other.lift(m))], den=den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.n, tuple(-c for c in self.coeffs), normalize=False)
+        return CycloNumber(self.n, [-x for x in self.nums], normalize=False,
+                           den=self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -254,23 +243,19 @@ class CycloNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == 1:
-            q = self.coeffs[0]
+        den = self.den * other.den
+        if self.n == 1 or other.n == 1:
+            q, x = (self, other) if self.n == 1 else (other, self)
+            q = q.nums[0]
             if q == 0:
                 return CycloNumber.zero()
-            return CycloNumber(other.n, tuple(q * c for c in other.coeffs), normalize=(q == 0))
-        if other.n == 1:
-            q = other.coeffs[0]
-            if q == 0:
-                return CycloNumber.zero()
-            return CycloNumber(self.n, tuple(q * c for c in self.coeffs), normalize=False)
-        m, a, b = self._common(other)
+            return CycloNumber(x.n, [q * c for c in x.nums], normalize=False, den=den)
+        m = math.lcm(self.n, other.n)
         phi = euler_phi(m)
         table = _power_table(m)
-        den_a, a = _numerators(a)
-        den_b, b = _numerators(b)
         conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
+        b = self.lift(m)
+        for i, ai in enumerate(other.lift(m)):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
@@ -283,57 +268,19 @@ class CycloNumber:
                 for j, rj in enumerate(row):
                     if rj:
                         out[j] += c * rj
-        return CycloNumber(m, _over(out, den_a * den_b))
+        return CycloNumber(m, out, den=den)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "CycloNumber":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.n == 1:
-            return CycloNumber(1, (1 / self.coeffs[0],), normalize=False)
-        # extended Euclid against Phi_n over Q; Phi_n irreducible so the gcd
-        # is a nonzero constant
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        a = list(self.coeffs)
-        u = _poly_invmod(a, phi_poly)
-        phi = euler_phi(self.n)
-        u = (u + [Fraction(0)] * phi)[:phi]
-        return CycloNumber(self.n, u)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = CycloNumber.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         # minimal-conductor normal form makes equality structural
-        return self.n == other.n and self.coeffs == other.coeffs
+        return (self.n, self.den, self.nums) == (other.n, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.den, self.nums))
 
     # -- Galois action -------------------------------------------------
 
@@ -343,11 +290,7 @@ class CycloNumber:
             raise ValueError(f"{t} not coprime to conductor {self.n}")
         if self.n == 1:
             return self
-        den, nums = _numerators(self.coeffs)
-        return CycloNumber(self.n, _over(_power_sum(self.n, nums, t), den))
-
-    def conjugate(self) -> "CycloNumber":
-        return self.galois(self.n - 1) if self.n > 1 else self
+        return CycloNumber(self.n, _power_sum(self.n, self.nums, t), den=self.den)
 
     # -- serialization -------------------------------------------------
 
@@ -356,20 +299,18 @@ class CycloNumber:
 
     def __repr__(self):
         if self.n == 1:
-            return f"CycloNumber({self.coeffs[0]})"
+            return f"CycloNumber({self.to_fraction()})"
         terms = [f"{c}*z{self.n}^{k}" for k, c in enumerate(self.coeffs) if c]
         return "CycloNumber(" + (" + ".join(terms) or "0") + ")"
-
-
-def zeta(n: int, k: int = 1) -> CycloNumber:
-    return CycloNumber.zeta(n, k)
 
 
 def _coerce(x):
     if isinstance(x, CycloNumber):
         return x
-    if isinstance(x, (int, Fraction)):
-        return CycloNumber(1, (Fraction(x),), normalize=False)
+    if isinstance(x, int):
+        return CycloNumber(1, (x,), normalize=False)
+    if isinstance(x, Fraction):
+        return CycloNumber(1, (x.numerator,), normalize=False, den=x.denominator)
     return NotImplemented
 
 
@@ -403,53 +344,3 @@ def _reduce_conductor(n: int, nums: list[int]):
             break
     return n, nums, scale
 
-
-def _poly_invmod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo mod over Q (mod irreducible)."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def polymod(p, q):
-        p = list(p)
-        while len(p) >= len(q):
-            f = p[-1] / q[-1]
-            shift = len(p) - len(q)
-            for i, qi in enumerate(q):
-                p[shift + i] -= f * qi
-            trim(p)
-            if not p:
-                break
-        return p
-
-    r0, r1 = list(mod), trim(list(a))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1:
-        # one Euclidean step: r0 = q*r1 + r2, s2 = s0 - q*s1
-        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-        rem = list(r0)
-        while len(rem) >= len(r1):
-            f = rem[-1] / r1[-1]
-            shift = len(rem) - len(r1)
-            q[shift] = f
-            for i, ri in enumerate(r1):
-                rem[shift + i] -= f * ri
-            trim(rem)
-            if not rem:
-                break
-        qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs1[i + j] += qi * sj
-        s2 = [x - y for x, y in
-              zip(s0 + [Fraction(0)] * max(0, len(qs1) - len(s0)),
-                  qs1 + [Fraction(0)] * max(0, len(s0) - len(qs1)))]
-        r0, r1 = r1, (rem if rem else [Fraction(0)])
-        s0, s1 = s1, trim(s2) or [Fraction(0)]
-        if r1 == [Fraction(0)]:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-    g = r1[0]
-    return [c / g for c in s1]

@@ -32,7 +32,6 @@ __all__ = [
     "unit_group_structure",
     "bernoulli_number",
     "bernoulli_numerators",
-    "gen_bernoulli",
     "l_value_exact",
     "gross_equivariance_check",
 ]
@@ -162,10 +161,10 @@ class DirichletChar:
 
     @property
     def is_odd(self) -> bool:
-        """True when chi(-1) = -1."""
-        if self.modulus <= 2:
-            return False
-        return self.value(self.modulus - 1) == CycloNumber.from_rational(-1)
+        """True when chi(-1) = -1, that is when chi(-1) = zeta_L^k with
+        k = L/2; L is even once f > 2, as -1 then has order 2."""
+        L, ks = self.root_exponents()
+        return self.modulus > 2 and ks[self.modulus - 1] == L // 2
 
     @property
     def conductor(self) -> int:
@@ -189,11 +188,6 @@ class DirichletChar:
     def conjugate(self) -> "DirichletChar":
         return DirichletChar(self.modulus, tuple(-k for k in self.exps))
 
-    def __mul__(self, other: "DirichletChar") -> "DirichletChar":
-        if self.modulus != other.modulus:
-            raise ValueError("character moduli differ")
-        return DirichletChar(self.modulus, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
     def __eq__(self, other):
         if not isinstance(other, DirichletChar):
             return NotImplemented
@@ -204,11 +198,6 @@ class DirichletChar:
 
     def label(self) -> str:
         return f"chi_{self.modulus}{list(self.exps)}"
-
-    def to_json(self) -> dict:
-        return {"modulus": self.modulus, "exponents": list(self.exps),
-                "conductor": self.conductor, "order": self.order,
-                "odd": self.is_odd}
 
     def __repr__(self):
         return self.label()
@@ -291,11 +280,6 @@ def _bernoulli_vector(chi: DirichletChar, r: int):
         if k is not None:
             v[k] += b
     return L, v, den
-
-
-def gen_bernoulli(chi: DirichletChar, r: int) -> CycloNumber:
-    """B_{r,chi} = f^(r-1) sum_{a=1}^{f} chi(a) B_r(a/f)."""
-    return CycloNumber.from_root_vector(*_bernoulli_vector(chi, r))
 
 
 def l_value_exact(chi: DirichletChar, s: int, S=()) -> CycloNumber:

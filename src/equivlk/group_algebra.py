@@ -240,8 +240,7 @@ class CentralElement(_RationalVector):
             for w, v in zip(weights, lifted):
                 if w:
                     acc = [c + w * x for c, x in zip(acc, v)]
-            den = self.den * degree
-            out.append(CycloNumber(centre.exponent, [Fraction(c, den) for c in acc]))
+            out.append(CycloNumber(centre.exponent, acc, den=self.den * degree))
         return tuple(out)
 
     def to_json(self) -> dict:
@@ -269,9 +268,11 @@ def _centre(G: FiniteGroup) -> _Centre:
     classes, class_of = G.conjugacy_classes()
     table = G.character_table()
     e = G.exponent
-    # character values are algebraic integers: integer power-basis coordinates
-    lifted = tuple(tuple(tuple(int(c) for c in v.lift(e)) for v in chi.values)
-                   for chi in table)
+    # character values are algebraic integers: their denominator is 1 and
+    # their numerators are the power-basis coordinates
+    lifted = tuple(tuple(tuple(v.lift(e)) for v in chi.values) for chi in table)
+    if any(v.den != 1 for chi in table for v in chi.values):
+        raise RuntimeError("character value is not an algebraic integer")
     inverse = [class_of[G.inv[cls[0]]] for cls in classes]
     phi = euler_phi(e)
 

@@ -206,9 +206,6 @@ class FiniteGroup:
             self._char_table = table
         return self._char_table
 
-    def to_json(self) -> dict:
-        return {"table": [list(r) for r in self.mul]}
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -220,9 +217,6 @@ class Character:
     index: int
     degree: int
     values: tuple[CycloNumber, ...]
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "values": [v.to_json() for v in self.values]}
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +374,13 @@ def _dixon_character_table(G: FiniteGroup):
                     val = val + m * CycloNumber.zeta(d, kk)
             values.append(val)
         chars.append((degree, values))
-    chars.sort(key=lambda c: (c[0], [v.to_json() for v in c[1]] != [CycloNumber.one().to_json()] * k,
-                              str([v.to_json() for v in c[1]])))
+    trivial = [CycloNumber.one().to_json()] * k
+
+    def sort_key(c):
+        values = [v.to_json() for v in c[1]]
+        return c[0], values != trivial, str(values)
+
+    chars.sort(key=sort_key)
     return tuple(Character(i, deg, tuple(vals)) for i, (deg, vals) in enumerate(chars))
 
 

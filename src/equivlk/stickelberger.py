@@ -21,7 +21,6 @@ from .dirichlet import MAX_MODULUS, bernoulli_numerators
 from .snf import smith_normal_form
 
 __all__ = [
-    "stickelberger_element",
     "sigma_action",
     "smoothed_element",
     "higher_w",
@@ -37,8 +36,9 @@ def _units(f: int):
     return [a for a in range(1, f + 1) if math.gcd(a, f) == 1] or [1]
 
 
-def stickelberger_element(f: int, r: int, S=()):
-    """theta_S(1-r) as {a: Fraction} over units a mod f.
+def _theta_numerators(f: int, r: int, S=()):
+    """(den, {a: num}) with theta_S(1-r) = {a: num / den} over units a mod f,
+    on integers.
 
     c_a = -(f^(r-1)/r) B_r(a'/f) with a' = a^-1 mod f in 1..f, and each
     v in S prime to f multiplies theta by (1 - v^(r-1) sigma_v^-1), that is
@@ -47,12 +47,6 @@ def stickelberger_element(f: int, r: int, S=()):
     Invariant: for every chi mod f the chi-component sum_a c_a chi(a)
     equals L_S(1-r, chi-bar).
     """
-    den, nums = _theta_numerators(f, r, S)
-    return {a: Fraction(x, den) for a, x in nums.items()}
-
-
-def _theta_numerators(f: int, r: int, S=()):
-    """(den, {a: num}) with theta_S(1-r) = {a: num / den}, on integers."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if not 1 <= f <= MAX_MODULUS:

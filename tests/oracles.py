@@ -12,6 +12,9 @@
 * reduce_conductor_by_solver, the conductor descent by Gauss-Jordan
   elimination of the embedding Q(zeta_d) -> Q(zeta_n), which the
   closed-form relative trace in equivlk.cyclo replaced.
+* FractionCyclo, the CycloNumber with one Fraction per power-basis
+  coordinate, which the integer-numerator CycloNumber replaced, and
+  from_fractions, which builds a CycloNumber from Fraction coordinates.
 """
 
 from dataclasses import dataclass
@@ -20,12 +23,24 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from equivlk.arith import factorize
-from equivlk.cyclo import CycloNumber, _power_table, euler_phi
+from equivlk.cyclo import (CycloNumber, _power_sum, _power_table,
+                          _reduce_conductor, euler_phi)
 from equivlk.snf import smith_normal_form
 
 
 # ---------------------------------------------------------------------------
-# dense exact linear algebra over Fraction or CycloNumber entries
+# dense exact linear algebra over CycloNumber entries
+
+
+def cyclo_inverse(x: CycloNumber) -> CycloNumber:
+    """x^-1 = prod_{sigma != 1} sigma(x) / N(x), N(x) = prod_sigma sigma(x)
+    the rational norm of Q(zeta_n)/Q (Washington, Introduction to Cyclotomic
+    Fields, ch. 2); ZeroDivisionError for x = 0."""
+    rest = CycloNumber.one()
+    for t in range(2, x.n):
+        if gcd(t, x.n) == 1:
+            rest = rest * x.galois(t)
+    return rest * (1 / (x * rest).to_fraction())
 
 def mat_mul(A, B, zero):
     n, k, m = len(A), len(B), len(B[0])
@@ -57,8 +72,8 @@ def rref(M, zero):
         if piv is None:
             continue
         R[r], R[piv] = R[piv], R[r]
-        inv = R[r][c]
-        R[r] = [x / inv for x in R[r]]
+        inv = cyclo_inverse(R[r][c])
+        R[r] = [x * inv for x in R[r]]
         for i in range(rows):
             if i != r and R[i][c] != zero:
                 f = R[i][c]
@@ -537,3 +552,146 @@ def reduce_conductor_by_solver(n: int, coeffs) -> tuple[int, tuple[Fraction, ...
         else:
             break
     return n, tuple(Fraction(x, den) for x in nums)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-coefficient CycloNumber
+
+
+def from_fractions(n: int, coeffs) -> CycloNumber:
+    """The CycloNumber sum_k coeffs[k] zeta_n^k for rational coeffs[k]."""
+    den, nums = _numerators([Fraction(c) for c in coeffs])
+    return CycloNumber(n, nums, den=den)
+
+
+def _numerators(coeffs) -> tuple[int, list[int]]:
+    """(den, nums) with coeffs[k] = nums[k] / den, den the least common
+    denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _over(nums, den: int) -> list[Fraction]:
+    return [Fraction(x, den) for x in nums]
+
+
+class FractionCyclo:
+    """An exact element of some Q(zeta_n), normalized to minimal conductor,
+    with one Fraction per power-basis coordinate.  Its integer loops convert
+    the Fractions to numerators over one denominator and back."""
+
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs, normalize: bool = True):
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        if len(coeffs) != euler_phi(n):
+            raise ValueError(f"need phi({n}) = {euler_phi(n)} coefficients, got {len(coeffs)}")
+        if normalize and n > 1:
+            den, nums = _numerators(coeffs)
+            d, nums, scale = _reduce_conductor(n, nums)
+            if d != n:
+                n, coeffs = d, tuple(_over(nums, den * scale))
+        self.n = n
+        self.coeffs = coeffs
+
+    @staticmethod
+    def zero() -> "FractionCyclo":
+        return FractionCyclo(1, (Fraction(0),), normalize=False)
+
+    def lift(self, m: int) -> tuple[Fraction, ...]:
+        """Coordinates of self on the conductor-m power basis (n | m)."""
+        if m == self.n:
+            return self.coeffs
+        if m % self.n:
+            raise ValueError(f"{self.n} does not divide {m}")
+        den, nums = _numerators(self.coeffs)
+        return tuple(_over(_power_sum(m, nums, m // self.n), den))
+
+    def _common(self, other: "FractionCyclo"):
+        m = self.n * other.n // gcd(self.n, other.n)
+        return m, self.lift(m), other.lift(m)
+
+    def __add__(self, other):
+        other = _coerce_fraction_cyclo(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.n == 1 and other.n == 1:
+            return FractionCyclo(1, (self.coeffs[0] + other.coeffs[0],), normalize=False)
+        m, a, b = self._common(other)
+        return FractionCyclo(m, tuple(x + y for x, y in zip(a, b)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclo(self.n, tuple(-c for c in self.coeffs), normalize=False)
+
+    def __sub__(self, other):
+        other = _coerce_fraction_cyclo(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = _coerce_fraction_cyclo(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.n == 1:
+            q = self.coeffs[0]
+            if q == 0:
+                return FractionCyclo.zero()
+            return FractionCyclo(other.n, tuple(q * c for c in other.coeffs), normalize=False)
+        if other.n == 1:
+            q = other.coeffs[0]
+            if q == 0:
+                return FractionCyclo.zero()
+            return FractionCyclo(self.n, tuple(q * c for c in self.coeffs), normalize=False)
+        m, a, b = self._common(other)
+        phi = euler_phi(m)
+        table = _power_table(m)
+        den_a, a = _numerators(a)
+        den_b, b = _numerators(b)
+        conv = [0] * (2 * phi - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        out = conv[:phi]
+        for e in range(phi, 2 * phi - 1):
+            c = conv[e]
+            if c:
+                for j, rj in enumerate(table[e]):
+                    if rj:
+                        out[j] += c * rj
+        return FractionCyclo(m, _over(out, den_a * den_b))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = _coerce_fraction_cyclo(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
+
+    def galois(self, t: int) -> "FractionCyclo":
+        """Image under zeta_n -> zeta_n^t; t must be coprime to the conductor."""
+        if gcd(t, self.n) != 1:
+            raise ValueError(f"{t} not coprime to conductor {self.n}")
+        if self.n == 1:
+            return self
+        den, nums = _numerators(self.coeffs)
+        return FractionCyclo(self.n, _over(_power_sum(self.n, nums, t), den))
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "coeffs": [str(c) for c in self.coeffs]}
+
+
+def _coerce_fraction_cyclo(x):
+    if isinstance(x, FractionCyclo):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FractionCyclo(1, (Fraction(x),), normalize=False)
+    return NotImplemented

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import math
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -86,8 +88,33 @@ def test_pval():
             pval(bad, 3)
 
 
+def references(path):
+    """{(name, owner)} for every Name, Attribute or import alias in the
+    module at path, owner being the top-level def or class it appears in
+    (None at module level)."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add((sub.id, owner))
+            elif isinstance(sub, ast.Attribute):
+                found.add((sub.attr, owner))
+            elif isinstance(sub, ast.alias):
+                found.add((sub.name, owner))
+    return found
+
+
 def test_every_export_resolves():
-    for info in pkgutil.iter_modules(equivlk.__path__):
-        module = importlib.import_module(f"equivlk.{info.name}")
+    # every export exists, and something in the package other than its own
+    # definition uses it: API that nothing reaches is deleted, not exported
+    src = Path(equivlk.__file__).parent
+    refs = {info.name: references(src / f"{info.name}.py")
+            for info in pkgutil.iter_modules(equivlk.__path__)}
+    for mod_name in refs:
+        module = importlib.import_module(f"equivlk.{mod_name}")
         for name in getattr(module, "__all__", ()):
-            assert hasattr(module, name), f"equivlk.{info.name}.{name}"
+            assert hasattr(module, name), f"equivlk.{mod_name}.{name}"
+            assert any(ref == name and (mod, owner) != (mod_name, name)
+                       for mod, found in refs.items() for ref, owner in found), \
+                f"equivlk.{mod_name}.{name} is exported but never used"

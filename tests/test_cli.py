@@ -232,6 +232,19 @@ def test_fitt_abelian_bad_group_is_a_failed_record(tmp_path):
     ("lvalue", {"f_max": 5, "s": 3}, "s must be a non-empty list of integers >= 2, got 3"),
     ("gross-check", {"f_max": True}, "f_max must be an integer in 1..1000, got True"),
     ("stickelberger", {"f_max": -1}, "f_max must be an integer in 1..1000, got -1"),
+    ("gross-check", {"f_max": 3, "r_max": "2"}, "r_max must be an integer >= 1, got '2'"),
+    ("gross-check", {"f_max": 3, "r_max": 0}, "r_max must be an integer >= 1, got 0"),
+    ("gross-check", {"f_max": 3, "S": [5, 9]}, "S must be a list of primes, got [5, 9]"),
+    ("stickelberger", {"f_max": 3, "S": 7}, "S must be a list of primes, got 7"),
+    ("verify-fe", {"f_max": 3, "tol_log2": "x"}, "tol_log2 must be an integer, got 'x'"),
+    ("lvalue", {"f_max": 3, "tol_log2": -99.5}, "tol_log2 must be an integer, got -99.5"),
+    ("kff", {"q_max": "3"}, "q_max must be an integer, got '3'"),
+    ("kff", {"d_max": 2.0}, "d_max must be an integer, got 2.0"),
+    ("kff", {"r_max": None}, "r_max must be an integer >= 1, got None"),
+    # r > 1 is the paper's range; an empty grid or no smoothing c checks nothing
+    ("pi-ratio", {"r": [1]}, "r must be a non-empty list of integers >= 2, got [1]"),
+    ("pi-ratio", {"n_max": 0}, "n_max must be an integer >= 1, got 0"),
+    ("stickelberger", {"f_max": 5, "count_c": -1}, "count_c must be an integer >= 1, got -1"),
 ])
 def test_bad_lvalue_config_is_one_failed_record(subcommand, config, problem, tmp_path):
     code, report = run_main(tmp_path, subcommand, config)
@@ -239,6 +252,18 @@ def test_bad_lvalue_config_is_one_failed_record(subcommand, config, problem, tmp
     assert [r["id"] for r in report["checks"]] == [f"{subcommand}/config"]
     assert report["checks"][0]["witness"] == {"error": problem, "type": "ValueError"}
     assert report["summary"] == {"total": 1, "pass": 0, "fail": 1, "info": 0}
+
+
+def test_time_ms_is_an_integer(tmp_path):
+    # perfbench zeroes '"time_ms": <digits>' before hashing a report, so a
+    # float time_ms would leave its fractional digits in the digest
+    for subcommand, config in [("kff", {"q_max": 3, "d_max": 2, "r_max": 1}),
+                               ("pi-ratio", {"r": [2], "n_max": 1}),
+                               ("gross-check", {"f_max": 6, "r_max": 1}),
+                               ("gross-check", {"f_max": 0})]:
+        _, report = run_main(tmp_path, subcommand, config)
+        assert report["checks"], subcommand
+        assert all(type(r["time_ms"]) is int for r in report["checks"]), subcommand
 
 
 def test_main_table_rendering(capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from equivlk.cyclo import CycloNumber, zeta
+from equivlk.cyclo import CycloNumber
 from equivlk.dirichlet import (DirichletChar, enumerate_characters,
                                unit_group_structure)
 
@@ -71,9 +71,11 @@ def test_primitive_round_trip():
 def test_order_and_conjugate():
     chars5 = enumerate_characters(5)
     c4 = next(c for c in chars5 if c.order == 4)
-    assert c4.value(2) in (zeta(4), zeta(4, 3))
-    assert (c4 * c4.conjugate()).is_trivial
-    assert c4.conjugate().value(2) == c4.value(2).conjugate()
+    assert c4.value(2) in (CycloNumber.zeta(4), CycloNumber.zeta(4, 3))
+    product = [a + b for a, b in zip(c4.exps, c4.conjugate().exps)]
+    assert DirichletChar(5, product).is_trivial
+    # complex conjugation is sigma_(-1) = sigma_3 on Q(zeta_4)
+    assert c4.conjugate().value(2) == c4.value(2).galois(3)
 
 
 def test_parity():
@@ -82,6 +84,13 @@ def test_parity():
     assert c.is_odd
     evens = [c for c in enumerate_characters(8) if not c.is_odd and c.conductor == 8]
     assert len(evens) == 1
+
+
+def test_parity_from_exponents_matches_value_at_minus_one():
+    minus_one = CycloNumber.from_rational(-1)
+    for f in range(1, 101):
+        for chi in enumerate_characters(f):
+            assert chi.is_odd == (chi.value(f - 1) == minus_one), chi
 
 
 def test_modulus_bound():
@@ -104,7 +113,7 @@ def test_value_tables_match_zeta_products():
                     acc = CycloNumber.one()
                     for m, d in zip(key, orders):
                         if m:
-                            acc = acc * zeta(d, m)
+                            acc = acc * CycloNumber.zeta(d, m)
                     products[key] = acc
                 expect[a % f] = products[key]
             assert [chi.value(a) for a in range(f)] == expect, chi

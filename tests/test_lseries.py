@@ -8,8 +8,7 @@ from equivlk import lseries
 from equivlk.cyclo import CycloNumber
 from equivlk.dirichlet import (DirichletChar, bernoulli_number,
                                bernoulli_numerators, enumerate_characters,
-                               gen_bernoulli, gross_equivariance_check,
-                               l_value_exact)
+                               gross_equivariance_check, l_value_exact)
 from equivlk.lseries import (_character_sum, _hurwitz_vector,
                              _l_derivative, archimedean_leading,
                              completed_lambda, fe_residual, gauss_sum,
@@ -54,7 +53,8 @@ def test_bernoulli_row_matches_polynomial():
 
 
 def test_gen_bernoulli_chi4():
-    assert gen_bernoulli(chi4(), 3).to_fraction() == Fraction(3, 2)
+    # B_{3,chi_4} = 3/2, read off L(-2, chi_4) = -B_{3,chi_4}/3
+    assert (-3 * l_value_exact(chi4(), -2)).to_fraction() == Fraction(3, 2)
 
 
 def test_exact_special_values():
@@ -195,7 +195,7 @@ def test_one_pass_values_match_term_loop():
         for chi in enumerate_characters(f):
             for r in range(1, 6):
                 b = gen_bernoulli_by_terms(chi, r)
-                assert gen_bernoulli(chi, r) == b, (chi, r)
+                assert l_value_exact(chi, 1 - r) == -b * Fraction(1, r), (chi, r)
                 euler = CycloNumber.one()
                 for v in S:
                     if f % v:

@@ -6,16 +6,22 @@ import pytest
 
 from equivlk.cyclo import CycloNumber
 from equivlk.dirichlet import enumerate_characters, l_value_exact
-from equivlk.stickelberger import (easy_annihilators, higher_w,
-                                   integrality_check,
+from equivlk.stickelberger import (_theta_numerators, easy_annihilators,
+                                   higher_w, integrality_check,
                                    kgroup_annihilates, kgroup_finite_field,
                                    sigma_action, smoothed_element,
-                                   stickelberger_element, valid_smoothing_c)
+                                   valid_smoothing_c)
+
+
+def theta_fractions(f, r, S=()):
+    """theta_S(1-r) as {a: Fraction} over the units a mod f."""
+    den, nums = _theta_numerators(f, r, S)
+    return {a: Fraction(x, den) for a, x in nums.items()}
 
 
 def test_theta_f3_classical():
     # theta_{S}(0) for f = 3, S = {3}: (1/6)(sigma_1 - sigma_2)
-    th = stickelberger_element(3, 1, S=(3,))
+    th = theta_fractions(3, 1, S=(3,))
     assert th == {1: Fraction(1, 6), 2: Fraction(-1, 6)}
 
 
@@ -39,25 +45,25 @@ def test_closed_form_matches_character_sums():
     for f in range(1, 17):
         for r in [1, 2, 3]:
             for S in [(), (2,), (3, 5), (31, 41)]:
-                assert stickelberger_element(f, r, S) == \
+                assert theta_fractions(f, r, S) == \
                     theta_by_character_sums(f, r, S), (f, r, S)
 
 
 def test_theta_rejects_out_of_range_input():
     for f, r in [(0, 2), (1001, 2), (5, 0)]:
         with pytest.raises(ValueError):
-            stickelberger_element(f, r)
+            theta_fractions(f, r)
 
 
 def test_theta_rationality_grid():
     for f in [4, 5, 7, 12]:
         for r in [1, 2, 3]:
-            th = stickelberger_element(f, r)
+            th = theta_fractions(f, r)
             assert all(isinstance(v, Fraction) for v in th.values())
 
 
 def test_sigma_action_is_group_action():
-    th = stickelberger_element(5, 2)
+    th = theta_fractions(5, 2)
     assert sigma_action(sigma_action(th, 2, 5), 3, 5) == sigma_action(th, 6 % 5, 5)
 
 
@@ -93,7 +99,7 @@ def test_integer_smoothing_matches_fraction_smoothing():
         for r in [1, 2, 3, 4]:
             for S in [(), (2,), (31, 43)]:
                 theta, results = integrality_check(f, r, S, cs=cs)
-                expected = stickelberger_element(f, r, S)
+                expected = theta_fractions(f, r, S)
                 assert theta == expected, (f, r, S)
                 for c, (c_got, ok, el) in zip(cs, results):
                     want = smoothed_element(expected, c, r, f)
@@ -106,7 +112,7 @@ def test_integer_smoothing_matches_fraction_smoothing():
 
 def test_invalid_c_can_fail():
     # c = 2 is not a valid smoothing for f = 3 (even, and 2 | w_1)
-    theta = stickelberger_element(3, 1, S=(3,))
+    theta = theta_fractions(3, 1, S=(3,))
     el = smoothed_element(theta, 2, 1, 3)
     assert any(v.denominator != 1 for v in el.values())
 
